@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snow_core::{Computation, MigrationOutcome, RetryPolicy, SnowProcess, Start};
 use snow_net::{FaultPlan, FaultSpec, LinkSel, TimeScale};
-use snow_state::{ExecState, MemoryGraph, ProcessState};
+use snow_state::{fnv1a, fnv1a_with_seed, ExecState, MemoryGraph, ProcessState};
 use snow_trace::{Event, EventKind, Tracer};
 use snow_vm::HostSpec;
 use std::collections::BTreeMap;
@@ -113,13 +113,6 @@ pub struct ChaosRun {
     pub events: Vec<Event>,
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Deterministic payload length for message `i` of the `s → d` stream.
 fn body_len(s: usize, d: usize, i: u8) -> usize {
     1 + (s * 7 + d * 3 + i as usize * 11) % 48
@@ -152,14 +145,13 @@ fn lanes_digest(canonical: &str, events: &[Event]) -> u64 {
                 .push((*tag as i64, *bytes as u64));
         }
     }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv(&mut h, canonical.as_bytes());
+    let mut h = fnv1a(canonical.as_bytes());
     for ((recv, from), seq) in &lanes {
-        fnv(&mut h, recv.as_bytes());
-        fnv(&mut h, from.as_bytes());
+        h = fnv1a_with_seed(h, recv.as_bytes());
+        h = fnv1a_with_seed(h, from.as_bytes());
         for (tag, len) in seq {
-            fnv(&mut h, &tag.to_le_bytes());
-            fnv(&mut h, &len.to_le_bytes());
+            h = fnv1a_with_seed(h, &tag.to_le_bytes());
+            h = fnv1a_with_seed(h, &len.to_le_bytes());
         }
     }
     h

@@ -35,7 +35,7 @@ use snow_baselines::{
 };
 use snow_core::{Computation, MigrationOutcome, SnowProcess, Start};
 use snow_net::TimeScale;
-use snow_state::{ExecState, MemoryGraph, ProcessState};
+use snow_state::{fnv1a, fnv1a_with_seed, ExecState, MemoryGraph, ProcessState, FNV_OFFSET};
 use snow_trace::report::JsonValue;
 use snow_trace::{audit, PhaseWindows, Tracer};
 use snow_vm::wire::ENVELOPE_OVERHEAD_BYTES;
@@ -339,15 +339,6 @@ fn default_workers() -> usize {
         .clamp(2, 8)
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// Phase indices for the live classifier.
 const PRE: usize = 0;
 const DURING: usize = 1;
@@ -389,8 +380,8 @@ impl WorkShared {
         let phase = (self.phase.load(Ordering::Relaxed) as usize).min(POST);
         local[phase].record(lat);
         let h = lanes.entry(src).or_insert(FNV_OFFSET);
-        fnv(h, &(payload.len() as u64).to_le_bytes());
-        fnv(h, &sched.to_le_bytes());
+        *h = fnv1a_with_seed(*h, &(payload.len() as u64).to_le_bytes());
+        *h = fnv1a_with_seed(*h, &sched.to_le_bytes());
         self.delivered.fetch_add(1, Ordering::Relaxed);
         self.payload_bytes
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
@@ -863,12 +854,11 @@ pub fn run_workload(cfg: &SoakConfig) -> WorkloadRecord {
     // delivery hash, in sorted order. Stable across transports, worker
     // counts and migration timing — the open-loop replay is
     // deterministic per seed.
-    let mut h = FNV_OFFSET;
-    fnv(&mut h, cfg.canonical().as_bytes());
+    let mut h = fnv1a(cfg.canonical().as_bytes());
     for ((recv, from), lane) in shared.lanes.lock().unwrap().iter() {
-        fnv(&mut h, &(*recv as u64).to_le_bytes());
-        fnv(&mut h, &(*from as u64).to_le_bytes());
-        fnv(&mut h, &lane.to_le_bytes());
+        h = fnv1a_with_seed(h, &(*recv as u64).to_le_bytes());
+        h = fnv1a_with_seed(h, &(*from as u64).to_le_bytes());
+        h = fnv1a_with_seed(h, &lane.to_le_bytes());
     }
 
     WorkloadRecord {

@@ -573,7 +573,8 @@ impl SnowProcess {
             let mut tx_serial = 0.0f64;
             let mut restore_serial = 0.0f64;
             let summary = snow_state::stream_chunks(state, &cfg, |chunk| {
-                let c_s = cost.collect_seconds(chunk.bytes.len(), speed);
+                let chunk_len = chunk.bytes.len();
+                let c_s = cost.collect_seconds(chunk_len, speed);
                 collect_serial += c_s;
                 let w = (0..workers)
                     .min_by(|a, b| worker_free[*a].total_cmp(&worker_free[*b]))
@@ -603,14 +604,14 @@ impl SnowProcess {
                     payload: Payload::ExeMemStateChunk {
                         seq: chunk.seq,
                         checksum,
-                        bytes: Bytes::from(chunk.bytes.clone()),
+                        bytes: Bytes::from(chunk.bytes),
                     },
                 };
                 let nbytes = env.wire_bytes();
                 let tx_s = link.transfer_seconds(nbytes);
                 tx_serial += tx_s;
                 wire_free = done_collect.max(wire_free) + tx_s;
-                let r_s = cost.restore_seconds(chunk.bytes.len(), dest_speed);
+                let r_s = cost.restore_seconds(chunk_len, dest_speed);
                 restore_serial += r_s;
                 restore_free = wire_free.max(restore_free) + r_s;
                 state_tx
@@ -618,7 +619,7 @@ impl SnowProcess {
                     .map_err(|_| "transfer channel closed mid chunk stream".to_string())?;
                 cell.trace(EventKind::StateChunkSent {
                     seq: chunk.seq,
-                    bytes: chunk.bytes.len(),
+                    bytes: chunk_len,
                 });
                 Ok::<(), String>(())
             })?;

@@ -19,6 +19,8 @@
 //!   addresses on the destination machine.
 //! * [`snapshot`] — [`snapshot::ProcessState`]: exec + memory bundled
 //!   with an integrity checksum; this is the `ExeMemState` payload.
+//! * [`hash`] — XXH64, the one integrity hash every check on the
+//!   migrating state uses.
 //! * [`cost`] — the collect/transfer/restore cost model calibrated from
 //!   Tables 1–2 of the paper (Ultra 5 collects ~7.5 MB in 0.73 s, the
 //!   DEC 5000/120 in 5.209 s).
@@ -30,12 +32,14 @@
 
 pub mod cost;
 pub mod exec;
+pub mod hash;
 pub mod memory;
 pub mod pipeline;
 pub mod snapshot;
 
 pub use cost::StateCostModel;
 pub use exec::ExecState;
+pub use hash::{xxh64, Xxh64};
 pub use memory::{MemoryGraph, NodeId};
 pub use pipeline::{
     collect_chunks, pipelined_makespan, stream_chunks, ChunkStreamSummary, ChunkedRestorer,

@@ -1,6 +1,7 @@
 //! The complete exe+mem state bundle shipped during migration.
 
 use crate::exec::ExecState;
+use crate::hash::xxh64;
 use crate::memory::MemoryGraph;
 use snow_codec::{CodecError, Value, WireReader, WireWriter};
 
@@ -72,21 +73,22 @@ impl From<CodecError> for StateError {
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// FNV-1a over `bytes` — enough to catch transport corruption (not
-/// adversarial). Identical output to the textbook byte-at-a-time loop;
-/// see [`fnv1a_with_seed`] for the implementation notes.
+/// FNV-1a 64 over `bytes`, for short keys and replay digests (the
+/// benchmarks' lane check words and delivery digests). The migrating
+/// state is checked with [`crate::hash::xxh64`] instead: FNV-1a folds
+/// one byte per multiply, a serial chain too slow for multi-megabyte
+/// states. Identical output to the textbook byte-at-a-time loop; see
+/// [`fnv1a_with_seed`] for the implementation notes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_with_seed(FNV_OFFSET, bytes)
 }
 
 /// Continue an FNV-1a digest from `seed` over `bytes`. Folding a byte
-/// stream in arbitrary splits gives the same digest as hashing it whole
-/// — the chunked state transfer uses this to verify the reassembled
-/// stream against the monolithic checksum.
+/// stream in arbitrary splits gives the same digest as hashing it whole.
 ///
 /// The body loads eight bytes per iteration and unrolls the fold, which
-/// removes per-byte bounds checks on the multi-megabyte snapshots the
-/// migration path hashes; the digest is bit-identical to the plain loop.
+/// removes per-byte bounds checks; the digest is bit-identical to the
+/// plain loop.
 pub fn fnv1a_with_seed(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     let mut words = bytes.chunks_exact(8);
@@ -147,12 +149,12 @@ impl ProcessState {
     }
 
     /// *Collect* the state into canonical bytes (the source half of the
-    /// heterogeneous transfer). Layout: checksum ‖ body (see
+    /// heterogeneous transfer). Layout: XXH64 checksum ‖ body (see
     /// [`ProcessState::collect_body`]).
     pub fn collect(&self) -> Vec<u8> {
         let body = self.collect_body();
         let mut w = WireWriter::with_capacity(body.len() + 8);
-        w.put_u64(fnv1a(&body));
+        w.put_u64(xxh64(&body));
         w.put_raw(&body);
         w.into_bytes()
     }
@@ -177,7 +179,7 @@ impl ProcessState {
         let mut r = WireReader::new(bytes);
         let expected = r.get_u64()?;
         let body = r.get_raw(r.remaining())?;
-        let actual = fnv1a(body);
+        let actual = xxh64(body);
         if actual != expected {
             return Err(StateError::ChecksumMismatch { expected, actual });
         }

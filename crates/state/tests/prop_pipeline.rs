@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use snow_codec::Value;
 use snow_state::{
-    collect_chunks, fnv1a, ChunkedRestorer, ExecState, MemoryGraph, PipelineConfig, ProcessState,
+    collect_chunks, xxh64, ChunkedRestorer, ExecState, MemoryGraph, PipelineConfig, ProcessState,
     StateError,
 };
 
@@ -146,9 +146,9 @@ proptest! {
     }
 
     #[test]
-    fn stream_digest_equals_fnv_of_body(e in arb_exec(), g in arb_graph()) {
+    fn stream_digest_equals_xxh64_of_body(e in arb_exec(), g in arb_graph()) {
         let s = ProcessState::new(e, g);
         let (_, summary) = collect_chunks(&s, &PipelineConfig::default());
-        prop_assert_eq!(summary.digest, fnv1a(&s.collect_body()));
+        prop_assert_eq!(summary.digest, xxh64(&s.collect_body()));
     }
 }

@@ -26,14 +26,14 @@
 //! [`MigrationOutcome::Aborted`].
 
 use crate::error::ProtoError;
-use crate::process::{scaled_watchdog, Event, SnowProcess, CONN_RESEND, TAG_CTRL, TICK};
+use crate::process::{scaled_watchdog, Event, SnowProcess, CONN_RESEND, TICK};
 use bytes::Bytes;
 use snow_net::FrameClass;
 use snow_state::{
     ChunkedRestorer, PipelineConfig, ProcessState, RestoreTeardown, StateCostModel, StateError,
 };
 use snow_trace::{metrics::MigrationMetrics, metrics::MigrationVerdict, EventKind};
-use snow_vm::wire::{ConnReqMsg, SchedReply, SchedRequest};
+use snow_vm::wire::{SchedReply, SchedRequest};
 use snow_vm::{Envelope, Incoming, Payload, PostSender, ProcessCell, Rank, Signal, Vmid};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -348,18 +348,10 @@ impl SnowProcess {
         let mut awaiting: HashSet<Rank> = self.cc.keys().copied().collect();
         let peers: Vec<Rank> = awaiting.iter().copied().collect();
         for peer in peers {
-            let env = Envelope {
-                src: self.rank,
-                tag: TAG_CTRL,
-                msg: self.cell.tracer().next_msg_id(),
-                payload: Payload::PeerMigrating,
-            };
-            let bytes = env.wire_bytes();
-            let delivered = self
-                .cc
-                .get(&peer)
-                .map(|tx| tx.send(Incoming::Data(env), bytes).is_ok())
-                .unwrap_or(false);
+            let delivered = self.cc.get(&peer).is_some_and(|tx| {
+                self.post_ctrl(tx, Payload::PeerMigrating, FrameClass::Control)
+                    .is_ok()
+            });
             self.trace_mig(EventKind::PeerMigratingSent { peer });
             if !delivered {
                 // Peer already terminated; nothing to drain from it.
@@ -489,16 +481,12 @@ impl SnowProcess {
             count: batch.len(),
             bytes: batch.iter().map(Envelope::wire_bytes).sum(),
         });
-        let env = Envelope {
-            src: self.rank,
-            tag: TAG_CTRL,
-            msg: self.cell.tracer().next_msg_id(),
-            payload: Payload::RmlBatch(batch.to_vec()),
-        };
-        let nbytes = env.wire_bytes();
-        state_tx
-            .send_classed(Incoming::Data(env), nbytes, FrameClass::Data)
-            .map_err(|_| "transfer channel closed before the RML batch".to_string())?;
+        self.post_ctrl(
+            &state_tx,
+            Payload::RmlBatch(batch.to_vec()),
+            FrameClass::Data,
+        )
+        .map_err(|_| "transfer channel closed before the RML batch".to_string())?;
 
         // Lines 9–10: collect and send the execution and memory state
         // (cost modeled by host speed and link bandwidth).
@@ -536,16 +524,12 @@ impl SnowProcess {
             timings.pipelined_modeled_s =
                 timings.collect_modeled_s + timings.tx_modeled_s + timings.restore_modeled_s;
             timings.chunks = 1;
-            let env = Envelope {
-                src: self.rank,
-                tag: TAG_CTRL,
-                msg: self.cell.tracer().next_msg_id(),
-                payload: Payload::ExeMemState(Bytes::from(bytes)),
-            };
-            let nbytes = env.wire_bytes();
-            state_tx
-                .send_classed(Incoming::Data(env), nbytes, FrameClass::Data)
-                .map_err(|_| "transfer channel closed sending the state frame".to_string())?;
+            self.post_ctrl(
+                &state_tx,
+                Payload::ExeMemState(Bytes::from(bytes)),
+                FrameClass::Data,
+            )
+            .map_err(|_| "transfer channel closed sending the state frame".to_string())?;
             self.trace_mig(EventKind::StateTransmitted {
                 bytes: timings.state_bytes,
             });
@@ -561,10 +545,9 @@ impl SnowProcess {
             let cfg = self.pipeline.clone();
             let workers = cfg.workers.max(1);
             let mut corrupt = self.corrupt_chunk.take();
-            let cell = &self.cell;
+            let this = &*self;
             let cost = self.cost;
-            let rank = self.rank;
-            let scale = cell.time_scale();
+            let scale = this.cell.time_scale();
             let t0 = Instant::now();
             let mut worker_free = vec![0.0f64; workers];
             let mut wire_free = 0.0f64;
@@ -597,27 +580,21 @@ impl SnowProcess {
                     corrupt = None;
                     checksum ^= 1;
                 }
-                let env = Envelope {
-                    src: rank,
-                    tag: TAG_CTRL,
-                    msg: cell.tracer().next_msg_id(),
-                    payload: Payload::ExeMemStateChunk {
-                        seq: chunk.seq,
-                        checksum,
-                        bytes: Bytes::from(chunk.bytes),
-                    },
+                let payload = Payload::ExeMemStateChunk {
+                    seq: chunk.seq,
+                    checksum,
+                    bytes: Bytes::from(chunk.bytes),
                 };
-                let nbytes = env.wire_bytes();
+                let nbytes = this
+                    .post_ctrl(&state_tx, payload, FrameClass::Data)
+                    .map_err(|_| "transfer channel closed mid chunk stream".to_string())?;
                 let tx_s = link.transfer_seconds(nbytes);
                 tx_serial += tx_s;
                 wire_free = done_collect.max(wire_free) + tx_s;
                 let r_s = cost.restore_seconds(chunk_len, dest_speed);
                 restore_serial += r_s;
                 restore_free = wire_free.max(restore_free) + r_s;
-                state_tx
-                    .send_classed(Incoming::Data(env), nbytes, FrameClass::Data)
-                    .map_err(|_| "transfer channel closed mid chunk stream".to_string())?;
-                cell.trace(EventKind::StateChunkSent {
+                this.cell.trace(EventKind::StateChunkSent {
                     seq: chunk.seq,
                     bytes: chunk_len,
                 });
@@ -626,23 +603,17 @@ impl SnowProcess {
 
             // Close the stream: the digest frame the destination must
             // reproduce before committing to the restored state.
-            let env = Envelope {
-                src: rank,
-                tag: TAG_CTRL,
-                msg: cell.tracer().next_msg_id(),
-                payload: Payload::ExeMemStateDigest {
-                    digest: summary.digest,
-                    chunks: summary.chunks,
-                    total_bytes: summary.total_bytes as u64,
-                },
+            let digest = Payload::ExeMemStateDigest {
+                digest: summary.digest,
+                chunks: summary.chunks,
+                total_bytes: summary.total_bytes as u64,
             };
-            let nbytes = env.wire_bytes();
+            let nbytes = this
+                .post_ctrl(&state_tx, digest, FrameClass::Data)
+                .map_err(|_| "transfer channel closed sending the digest frame".to_string())?;
             let digest_tx_s = link.transfer_seconds(nbytes);
             tx_serial += digest_tx_s;
             wire_free += digest_tx_s;
-            state_tx
-                .send_classed(Incoming::Data(env), nbytes, FrameClass::Data)
-                .map_err(|_| "transfer channel closed sending the digest frame".to_string())?;
 
             timings.state_bytes = summary.total_bytes;
             timings.collect_modeled_s = collect_serial;
@@ -783,14 +754,7 @@ impl SnowProcess {
                 continue;
             }
             if let Some(tx) = self.cc.get(&peer) {
-                let env = Envelope {
-                    src: self.rank,
-                    tag: TAG_CTRL,
-                    msg: self.cell.tracer().next_msg_id(),
-                    payload: Payload::MigrationAborted,
-                };
-                let nbytes = env.wire_bytes();
-                let _ = tx.send(Incoming::Data(env), nbytes);
+                let _ = self.post_ctrl(tx, Payload::MigrationAborted, FrameClass::Control);
             }
         }
         AbortedMigration {
@@ -802,7 +766,7 @@ impl SnowProcess {
     }
 
     /// Establish a channel to an explicit vmid (the initialized
-    /// process). Same machinery as `connect()` but addressed by vmid,
+    /// process). Same `conn_req` as `connect()` but addressed by vmid,
     /// since the PL table still maps our rank to ourselves. Nacks are
     /// retried with exponential backoff under a time-scaled watchdog
     /// deadline; a departed destination host fails fast.
@@ -823,41 +787,20 @@ impl SnowProcess {
                 )));
             }
             let req_id = self.cell.next_req_id();
-            let req = ConnReqMsg {
-                req_id,
-                from_rank: self.rank,
-                from_vmid: self.cell.vmid(),
-                target,
-                reply: self.cell.reply_sender(),
-                data_to_requester: self.cell.data_sender_to_me(target.host),
-            };
-            self.cell.route_conn_req(req)?;
             // The request and its reply are datagrams: either may be
             // dropped by an armed fault plan, so re-send under the same
             // req_id until the destination answers.
-            let mut next_resend = Instant::now() + CONN_RESEND;
+            let mut next_resend = Instant::now();
             loop {
-                let ev = match self.next_event(TICK)? {
-                    Some(ev) => ev,
-                    None => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(ProtoError::Watchdog("state-transfer connect"));
-                        }
-                        if now >= next_resend {
-                            next_resend = now + CONN_RESEND;
-                            let again = ConnReqMsg {
-                                req_id,
-                                from_rank: self.rank,
-                                from_vmid: self.cell.vmid(),
-                                target,
-                                reply: self.cell.reply_sender(),
-                                data_to_requester: self.cell.data_sender_to_me(target.host),
-                            };
-                            self.cell.route_conn_req(again)?;
-                        }
-                        continue;
+                if Instant::now() >= next_resend {
+                    next_resend = Instant::now() + CONN_RESEND;
+                    self.route_conn_req(req_id, target)?;
+                }
+                let Some(ev) = self.next_event(TICK)? else {
+                    if Instant::now() >= deadline {
+                        return Err(ProtoError::Watchdog("state-transfer connect"));
                     }
+                    continue;
                 };
                 match ev {
                     Event::Granted { req_id: r, .. } if r == req_id => {
@@ -908,20 +851,14 @@ impl SnowProcess {
 /// Send the destination's verdict on the transferred state back to the
 /// source over the transfer back-channel (recorded in `cc` under the
 /// migrating rank when the source's `conn_req` was granted).
-fn send_state_ack(p: &mut SnowProcess, rank: Rank, ok: bool, detail: &str) {
+fn send_state_ack(p: &SnowProcess, rank: Rank, ok: bool, detail: &str) {
     if let Some(tx) = p.cc.get(&rank) {
-        let env = Envelope {
-            src: rank,
-            tag: TAG_CTRL,
-            msg: p.cell.tracer().next_msg_id(),
-            payload: Payload::StateAck {
-                ok,
-                from: p.cell.vmid(),
-                detail: detail.to_string(),
-            },
+        let ack = Payload::StateAck {
+            ok,
+            from: p.cell.vmid(),
+            detail: detail.to_string(),
         };
-        let nbytes = env.wire_bytes();
-        let _ = tx.send(Incoming::Data(env), nbytes);
+        let _ = p.post_ctrl(tx, ack, FrameClass::Control);
     }
 }
 
@@ -935,14 +872,7 @@ fn return_deposits(p: &mut SnowProcess, rank: Rank) {
         return;
     }
     if let Some(tx) = p.cc.get(&rank) {
-        let env = Envelope {
-            src: rank,
-            tag: TAG_CTRL,
-            msg: p.cell.tracer().next_msg_id(),
-            payload: Payload::RmlBatch(deposits),
-        };
-        let nbytes = env.wire_bytes();
-        let _ = tx.send(Incoming::Data(env), nbytes);
+        let _ = p.post_ctrl(tx, Payload::RmlBatch(deposits), FrameClass::Control);
     }
 }
 
@@ -962,7 +892,7 @@ fn abort_initialize(
     p.cell
         .trace(EventKind::StateRestoreAborted { chunks, bytes });
     return_deposits(&mut p, rank);
-    send_state_ack(&mut p, rank, false, &detail);
+    send_state_ack(&p, rank, false, &detail);
     err
 }
 
@@ -1135,7 +1065,7 @@ pub fn initialize(
     p.rml.prepend_batch(forwarded_rml.unwrap_or_default());
     // The image survived verification: the positive ack releases the
     // source (Fig 5 line 11) while we complete the commit handshake.
-    send_state_ack(&mut p, rank, true, "");
+    send_state_ack(&p, rank, true, "");
     // The transfer channel was recorded under our own rank; it is not an
     // application connection.
     p.cc.remove(&rank);

@@ -13,15 +13,18 @@ use bytes::Bytes;
 use snow_net::FrameClass;
 use snow_state::{PipelineConfig, StateCostModel};
 use snow_trace::EventKind;
+use snow_vm::post::InboxClosed;
 use snow_vm::process::EnvError;
 use snow_vm::wire::{ConnReqMsg, Ctrl, ExeStatus, SchedReply, SchedRequest};
-use snow_vm::{Envelope, Incoming, Payload, PostSender, ProcessCell, Rank, Signal, Tag, Vmid};
+use snow_vm::{
+    Envelope, HostId, Incoming, Payload, PostSender, ProcessCell, Rank, Signal, Tag, Vmid,
+};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Tag used by protocol marker envelopes (`peer_migrating`,
 /// `end_of_messages`); never surfaced to applications.
-pub(crate) const TAG_CTRL: Tag = -1;
+const TAG_CTRL: Tag = -1;
 
 /// How long a blocking protocol step may stall before reporting a
 /// watchdog error instead of hanging (peers dying uncoordinated are
@@ -47,15 +50,22 @@ pub(crate) fn scaled_watchdog(scale: snow_net::TimeScale) -> Duration {
     WATCHDOG.max(scale.real(WATCHDOG.as_secs_f64()))
 }
 
-/// Events surfaced by the shared inbox-processing loop. Everything not
-/// listed here (data buffering, inbound connection grants) is fully
-/// handled internally.
+/// How many consecutive re-lookups may name the very vmid that just
+/// nacked before `connect` reports the target as dead.
+const MAX_STALE_RETRIES: u32 = 400;
+
+/// Pause before re-sending a `conn_req` to a location the scheduler has
+/// just confirmed although its process nacked.
+const STALE_WAIT: Duration = Duration::from_millis(2);
+
+/// Events surfaced by the shared inbox classifier. Everything it fully
+/// handles itself (data buffering, inbound connection grants, the
+/// bookkeeping of pending outbound connects) reports as
+/// [`Event::Handled`].
 #[derive(Debug)]
 pub(crate) enum Event {
-    /// A data message was appended to the RML (re-check your match).
-    Data,
-    /// An inbound connection was granted to `peer`.
-    InboundConn(Rank),
+    /// Nothing for the caller: the message was fully handled.
+    Handled,
     /// Our outbound request `req_id` was granted by `peer`.
     Granted {
         /// The request id we sent.
@@ -86,7 +96,7 @@ pub(crate) enum Event {
     StateChunk {
         /// Position in the stream (0 = header chunk).
         seq: u32,
-        /// FNV-1a of `bytes`.
+        /// XXH64 of `bytes`.
         checksum: u64,
         /// The chunk's slice of the canonical state body.
         bytes: Bytes,
@@ -94,7 +104,7 @@ pub(crate) enum Event {
     /// The digest frame closing a pipelined state stream
     /// (initialization only).
     StateDigest {
-        /// Whole-body FNV-1a.
+        /// Whole-body XXH64.
         digest: u64,
         /// Chunk count the source sent.
         chunks: u32,
@@ -118,16 +128,29 @@ pub(crate) enum Event {
     PeerMigrationAborted,
 }
 
-/// Progress of a cooperative (non-blocking) connection establishment
-/// toward one destination rank: Fig 3 driven one message at a time by
-/// [`SnowProcess::connect_step`] instead of a blocked thread.
+/// Progress of one connection establishment toward a destination rank:
+/// Fig 3 as a state machine. [`SnowProcess::connect_step`] sends its
+/// messages and the inbox classifier feeds it the replies, so the
+/// blocking and the cooperative drivers run the same machine.
 #[derive(Debug)]
-enum PendingConn {
+struct PendingConn {
+    stage: ConnStage,
+    /// Consecutive re-lookups that named the vmid that had just nacked.
+    stale: u32,
+}
+
+#[derive(Debug)]
+enum ConnStage {
+    /// Send a fresh `conn_req` to `pl[dest]` (or look `dest` up first)
+    /// once `at` passes.
+    Retry { at: Instant },
     /// A scheduler lookup for the destination's location is in flight.
     Lookup {
         /// When to re-issue the lookup if no reply has landed (either
         /// leg may ride a lossy datagram link).
         next_resend: Instant,
+        /// The refusal that prompted the lookup (none for a cold one).
+        refused: Option<Refusal>,
     },
     /// A `conn_req` is outstanding at `target`.
     Req {
@@ -139,6 +162,19 @@ enum PendingConn {
         /// connectionless service may drop either leg).
         next_resend: Instant,
     },
+    /// The attempt failed; the next connect step toward this rank
+    /// returns the error.
+    Failed(ProtoError),
+}
+
+/// Why a connection attempt had to re-locate its destination.
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    /// The process at this vmid nacked our `conn_req`.
+    Nacked(Vmid),
+    /// The target's host has left: our own daemon rejected on its
+    /// behalf (§3.1).
+    HostGone(HostId),
 }
 
 /// A SNOW application process: the paper's protocol endpoint.
@@ -153,7 +189,7 @@ pub struct SnowProcess {
     pub(crate) rml: Rml,
     /// The `Closed_conn` coordination counter (Fig 6).
     pub(crate) closed_conn: u32,
-    /// In-flight cooperative connection attempts (Fig 3, stepwise).
+    /// In-flight connection attempts (Fig 3, stepwise).
     pending_conn: HashMap<Rank, PendingConn>,
     /// Set once a `migration_request` signal has been intercepted.
     pub(crate) migrate_pending: bool,
@@ -258,7 +294,9 @@ impl SnowProcess {
     /// * `peer_migrating` → close channel + `Closed_conn += 1`
     ///   (Fig 4 lines 12–14),
     /// * inbound `conn_req` → grant, or nack while migrating
-    ///   (Fig 4 lines 9–11 / Fig 5 line 4).
+    ///   (Fig 4 lines 9–11 / Fig 5 line 4),
+    /// * grants, nacks and location replies → the pending connect they
+    ///   answer (Fig 3 lines 3–14), whatever the caller is waiting for.
     ///
     /// Returns `Ok(None)` on a tick timeout so callers can run liveness
     /// checks; errors with [`ProtoError::Watchdog`] via
@@ -282,7 +320,7 @@ impl SnowProcess {
                         msg: env.msg,
                     });
                     self.rml.append(env);
-                    Event::Data
+                    Event::Handled
                 }
                 Payload::PeerMigrating => {
                     let src = env.src;
@@ -331,12 +369,10 @@ impl SnowProcess {
                         self.trace(EventKind::ConnNack { to: req.from_rank });
                         self.cell
                             .answer_conn_req(req_id, Ctrl::ConnNack { req_id, target });
-                        Event::Data
                     } else {
-                        let peer = req.from_rank;
                         self.grant(req);
-                        Event::InboundConn(peer)
                     }
+                    Event::Handled
                 }
                 Ctrl::ConnGrant {
                     req_id,
@@ -351,17 +387,93 @@ impl SnowProcess {
                         e.insert(data_to_granter);
                         self.trace(EventKind::ChannelOpen { peer: peer_rank });
                     }
+                    self.pending_conn.remove(&peer_rank);
                     Event::Granted {
                         req_id,
                         peer: peer_rank,
                     }
                 }
-                Ctrl::ConnNack { req_id, .. } => Event::Nacked { req_id },
-                Ctrl::Sched(reply) => Event::Sched(reply),
+                Ctrl::ConnNack { req_id, .. } => {
+                    self.note_nack(req_id);
+                    Event::Nacked { req_id }
+                }
+                Ctrl::Sched(reply) => {
+                    if let SchedReply::Location {
+                        about,
+                        status,
+                        vmid,
+                    } = reply
+                    {
+                        self.note_location(about, status, vmid);
+                    }
+                    Event::Sched(reply)
+                }
                 // Normal processes never receive scheduler *requests*.
-                Ctrl::SchedRequest(_) => Event::Data,
+                Ctrl::SchedRequest(_) => Event::Handled,
             },
         }
+    }
+
+    /// Fig 3 lines 9–14: a nack for a pending `conn_req` invalidates the
+    /// cached location and fires the re-lookup. Nacks no pending
+    /// connect owns (the state-transfer connect's) are left to the
+    /// caller.
+    fn note_nack(&mut self, req_id: u64) {
+        let nacked = self.pending_conn.iter().find_map(|(d, pc)| match pc.stage {
+            ConnStage::Req {
+                req_id: r, target, ..
+            } if r == req_id => Some((*d, target)),
+            _ => None,
+        });
+        if let Some((dest, target)) = nacked {
+            self.trace(EventKind::ConnNack { to: dest });
+            self.relocate(dest, Refusal::Nacked(target));
+        }
+    }
+
+    /// The scheduler's answer to a pending connect's lookup (Fig 3
+    /// lines 10–14), judged against the refusal that prompted it.
+    fn note_location(&mut self, about: Rank, status: ExeStatus, vmid: Option<Vmid>) {
+        let Some(pc) = self.pending_conn.get_mut(&about) else {
+            return;
+        };
+        let ConnStage::Lookup { refused, .. } = pc.stage else {
+            return;
+        };
+        let v = match (status, vmid) {
+            (ExeStatus::Terminated, _) | (_, None) => {
+                pc.stage = ConnStage::Failed(ProtoError::DestinationTerminated(about));
+                return;
+            }
+            (_, Some(v)) => v,
+        };
+        self.pl.insert(about, v);
+        pc.stage = match refused {
+            // The directory still names the departed host: the
+            // destination is unreachable.
+            Some(Refusal::HostGone(h)) if v.host == h => {
+                ConnStage::Failed(ProtoError::Env(EnvError::HostGone(h)))
+            }
+            // The same process nacked and is still listed: it is dead
+            // but the scheduler has not (yet) heard. Retry briefly, then
+            // report instead of spinning forever — peers dying
+            // uncoordinated are outside the paper's failure model, so
+            // this is surfaced, not masked.
+            Some(Refusal::Nacked(t)) if t == v => {
+                pc.stale += 1;
+                if pc.stale >= MAX_STALE_RETRIES {
+                    ConnStage::Failed(ProtoError::Watchdog("connect retries"))
+                } else {
+                    ConnStage::Retry {
+                        at: Instant::now() + STALE_WAIT,
+                    }
+                }
+            }
+            _ => {
+                pc.stale = 0;
+                ConnStage::Retry { at: Instant::now() }
+            }
+        };
     }
 
     /// Block for the next event, up to the watchdog limit.
@@ -378,8 +490,9 @@ impl SnowProcess {
     }
 
     /// Grant an inbound connection request (`grant_connection_to`,
-    /// Fig 3 line 7 / Fig 4 line 10).
-    pub(crate) fn grant(&mut self, req: ConnReqMsg) {
+    /// Fig 3 line 7 / Fig 4 line 10). A crossing request from a rank we
+    /// are connecting to settles our own attempt (Fig 3 lines 6–8).
+    fn grant(&mut self, req: ConnReqMsg) {
         let peer = req.from_rank;
         self.pl.insert(peer, req.from_vmid);
         let grant = Ctrl::ConnGrant {
@@ -394,470 +507,223 @@ impl SnowProcess {
             e.insert(req.data_to_requester);
             self.trace(EventKind::ChannelOpen { peer });
         }
+        self.pending_conn.remove(&peer);
     }
 
-    /// Close the channel toward `peer`, sending `end_of_messages` as the
-    /// last message on it (§3.2.2).
-    pub(crate) fn close_channel_to(&mut self, peer: Rank) {
-        if let Some(tx) = self.cc.remove(&peer) {
-            let env = Envelope {
-                src: self.rank,
-                tag: TAG_CTRL,
-                msg: self.cell.tracer().next_msg_id(),
-                payload: Payload::EndOfMessages,
-            };
-            let bytes = env.wire_bytes();
-            let _ = tx.send(Incoming::Data(env), bytes);
-            self.trace(EventKind::ChannelClose { peer });
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Scheduler consultation (Fig 3 lines 10–14)
-    // ------------------------------------------------------------------
-
-    /// Ask the scheduler where `dest` lives, updating the PL cache.
-    /// Errors with [`ProtoError::DestinationTerminated`] when the
-    /// scheduler reports termination.
-    pub(crate) fn consult_scheduler(&mut self, dest: Rank) -> Result<Vmid, ProtoError> {
-        self.trace(EventKind::SchedulerConsult { about: dest });
-        self.cell.sched_send(SchedRequest::Lookup {
-            about: dest,
-            reply: self.cell.reply_sender(),
-        })?;
-        loop {
-            match self.wait_event("scheduler lookup")? {
-                Event::Sched(SchedReply::Location {
-                    about,
-                    status,
-                    vmid,
-                }) if about == dest => match (status, vmid) {
-                    (ExeStatus::Terminated, _) | (_, None) => {
-                        return Err(ProtoError::DestinationTerminated(dest))
-                    }
-                    (_, Some(v)) => {
-                        self.pl.insert(dest, v);
-                        return Ok(v);
-                    }
-                },
-                Event::Sched(SchedReply::Error { reason }) => {
-                    return Err(ProtoError::Scheduler(reason))
-                }
-                _ => continue,
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // connect (Fig 3)
-    // ------------------------------------------------------------------
-
-    /// Establish a connection with `dest` (sender-initiated, §3.1).
-    /// On `conn_nack`, consults the scheduler and retries at the new
-    /// location — the on-demand location update.
-    pub(crate) fn connect(&mut self, dest: Rank) -> Result<(), ProtoError> {
-        // A nacked request whose re-lookup names the *same* location is
-        // making no progress: the target is dead but the scheduler has
-        // not (yet) heard. Retry briefly, then report instead of
-        // spinning forever — peers dying uncoordinated are outside the
-        // paper's failure model, so this is surfaced, not masked.
-        let mut stale_retries = 0u32;
-        const MAX_STALE_RETRIES: u32 = 400;
-        // Fig 3 line 1: while dest ∉ Connected
-        while !self.cc.contains_key(&dest) {
-            let target = match self.pl.get(&dest) {
-                Some(v) => *v,
-                None => self.consult_scheduler(dest)?,
-            };
-            let req_id = self.cell.next_req_id();
-            let req = ConnReqMsg {
-                req_id,
-                from_rank: self.rank,
-                from_vmid: self.cell.vmid(),
-                target,
-                reply: self.cell.reply_sender(),
-                data_to_requester: self.cell.data_sender_to_me(target.host),
-            };
-            self.trace(EventKind::ConnReq { to: dest });
-            // Fig 3 line 2: send conn_req to pl[dest].
-            if let Err(EnvError::HostGone(h)) = self.cell.route_conn_req(req) {
-                // The target daemon no longer exists: the requester's
-                // daemon rejects on its behalf (§3.1). Re-locate.
-                self.trace(EventKind::ConnNack { to: dest });
-                let fresh = self.consult_scheduler(dest)?;
-                if fresh.host == h {
-                    // The directory still names the departed host: the
-                    // destination is unreachable.
-                    return Err(ProtoError::Env(EnvError::HostGone(h)));
-                }
-                continue;
-            }
-            // Fig 3 lines 3–15: wait for ack/nack, servicing other
-            // traffic meanwhile. The request or its reply may have been
-            // lost in the datagram service, so re-send periodically
-            // under the same req_id until something comes back.
-            let deadline = Instant::now() + WATCHDOG;
-            let mut next_resend = Instant::now() + CONN_RESEND;
-            'wait: loop {
-                let ev = match self.next_event(TICK)? {
-                    Some(ev) => ev,
-                    None => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(ProtoError::Watchdog("connect"));
-                        }
-                        if now >= next_resend {
-                            next_resend = now + CONN_RESEND;
-                            let again = ConnReqMsg {
-                                req_id,
-                                from_rank: self.rank,
-                                from_vmid: self.cell.vmid(),
-                                target,
-                                reply: self.cell.reply_sender(),
-                                data_to_requester: self.cell.data_sender_to_me(target.host),
-                            };
-                            self.trace(EventKind::ConnReq { to: dest });
-                            if self.cell.route_conn_req(again).is_err() {
-                                // Host left while we waited: fall out to
-                                // the re-locate path of the outer loop.
-                                break 'wait;
-                            }
-                        }
-                        continue;
-                    }
-                };
-                match ev {
-                    Event::Granted { req_id: r, peer } => {
-                        if r == req_id || peer == dest {
-                            break 'wait;
-                        }
-                    }
-                    Event::Nacked { req_id: r } if r == req_id => {
-                        self.trace(EventKind::ConnNack { to: dest });
-                        // Fig 3 lines 9–14: consult scheduler; retry or
-                        // report termination.
-                        let fresh = self.consult_scheduler(dest)?;
-                        if fresh == target {
-                            stale_retries += 1;
-                            if stale_retries >= MAX_STALE_RETRIES {
-                                return Err(ProtoError::Watchdog("connect retries"));
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        } else {
-                            stale_retries = 0;
-                        }
-                        break 'wait;
-                    }
-                    // Fig 3 lines 6–8: grant crossing requests. If the
-                    // requester was dest itself, Connected now holds it
-                    // and the outer while exits.
-                    Event::InboundConn(peer) => {
-                        if peer == dest || self.cc.contains_key(&dest) {
-                            break 'wait;
-                        }
-                    }
-                    _ => {
-                        if self.cc.contains_key(&dest) {
-                            break 'wait;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // send (Fig 2)
-    // ------------------------------------------------------------------
-
-    /// Send `payload` to rank `dest` under `tag`. Establishes the
-    /// connection first when necessary; never blocks on the receiver
-    /// (buffered mode, §2.3). If the channel died because the peer
-    /// migrated away, re-locates and retries transparently.
-    pub fn send(&mut self, dest: Rank, tag: Tag, payload: Bytes) -> Result<(), ProtoError> {
-        loop {
-            // Fig 2 lines 1–3.
-            self.connect(dest)?;
-            let env = Envelope {
-                src: self.rank,
-                tag,
-                msg: self.cell.tracer().next_msg_id(),
-                payload: Payload::Data(payload.clone()),
-            };
-            let bytes = env.wire_bytes();
-            // Fig 2 line 4. The timestamp is captured before the post:
-            // the receiver can consume (and trace) the message the
-            // instant it lands, and its RecvDone must sort after our
-            // Send for the log to stay causal. Recording still happens
-            // only on success, so a dead-inbox retry leaves no event.
-            // With tracing off the hot path pays neither the clock read
-            // nor the event construction.
-            let msg = env.msg;
-            let t_send = if self.cell.tracer().is_enabled() {
-                Some(self.cell.tracer().now_ns())
-            } else {
-                None
-            };
-            let tx = self.cc.get(&dest).expect("connected after connect()");
-            match tx.send_classed(Incoming::Data(env), bytes, FrameClass::Data) {
-                Ok(()) => {
-                    if let Some(t_send) = t_send {
-                        self.cell.trace_at(
-                            t_send,
-                            EventKind::Send {
-                                to: dest,
-                                tag,
-                                bytes: payload.len(),
-                                msg,
-                            },
-                        );
-                    }
-                    return Ok(());
-                }
-                Err(_) => {
-                    // The peer's inbox died: it terminated or its
-                    // migration completed and the old process exited.
-                    // Drop the stale channel and re-resolve; the
-                    // scheduler reports Terminated if it is truly gone.
-                    self.cc.remove(&dest);
-                    self.pl.remove(&dest);
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // recv (Fig 4)
-    // ------------------------------------------------------------------
-
-    /// Receive a message matching `src`/`tag` (either may be `None` for
-    /// a wildcard). Searches the received-message-list first; new
-    /// unwanted messages are appended to it.
-    pub fn recv(
-        &mut self,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Result<(Rank, Tag, Bytes), ProtoError> {
-        self.trace(EventKind::RecvStart { from: src, tag });
-        let mut first_check = true;
-        loop {
-            // Fig 4 lines 2–4.
-            if let Some(env) = self.rml.take_match(src, tag) {
-                let body = match env.payload {
-                    Payload::Data(b) => b,
-                    _ => unreachable!("only data envelopes enter the RML"),
-                };
-                self.trace(EventKind::RecvDone {
-                    from: env.src,
-                    tag: env.tag,
-                    bytes: body.len(),
-                    msg: env.msg,
-                    from_rml: first_check,
-                });
-                return Ok((env.src, env.tag, body));
-            }
-            first_check = false;
-            // Fig 4 lines 5–15: get a new data or control message; the
-            // shared classifier implements lines 6–14.
-            let _ = self.wait_event("recv")?;
-        }
-    }
-
-    /// Non-blocking probe: is a matching message already buffered or
-    /// deliverable? Drains deliverable inbox traffic into the RML first.
-    pub fn probe(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Result<bool, ProtoError> {
-        while let Some(_ev) = self.next_event(Duration::ZERO)? {}
-        Ok(self
-            .rml
-            .take_match(src, tag)
-            .map(|env| {
-                // Put it back in front: probe must not consume.
-                self.rml.prepend_batch(vec![env]);
-            })
-            .is_some())
-    }
-
-    // ------------------------------------------------------------------
-    // Cooperative (non-blocking) protocol steps
-    // ------------------------------------------------------------------
-    //
-    // The blocking send/recv/connect above park an OS thread per rank —
-    // fine for apps, ruinous for a 10k-rank harness. These entry points
-    // expose the same Fig 2/3/4 state machines one step at a time, so a
-    // bounded worker pool can multiplex thousands of ranks: a blocked
-    // `connect` would otherwise pin its worker waiting for a grant from
-    // a rank the pool has not scheduled, which deadlocks once every
-    // worker is pinned.
-
-    /// Drain every deliverable inbox message without blocking, running
-    /// the shared classifier on each (data → RML, inbound `conn_req` →
-    /// grant, markers → channel close + `Closed_conn`) and feeding
-    /// grants, nacks and scheduler replies into any in-flight
-    /// [`Self::connect_step`] state.
-    pub fn pump(&mut self) -> Result<(), ProtoError> {
-        while let Some(ev) = self.next_event(Duration::ZERO)? {
-            self.note_event(ev)?;
-        }
-        Ok(())
-    }
-
-    /// Resolve one classified event against the cooperative connect
-    /// state (the stepwise analogue of the match arms inside the
-    /// blocking `connect` wait loop).
-    fn note_event(&mut self, ev: Event) -> Result<(), ProtoError> {
-        match ev {
-            // `classify` already installed pl + cc; the pending attempt
-            // (crossing or our own) is satisfied.
-            Event::Granted { peer, .. } | Event::InboundConn(peer)
-                if self.cc.contains_key(&peer) =>
-            {
-                self.pending_conn.remove(&peer);
-            }
-            // Fig 3 lines 9–14, cooperatively: invalidate the cached
-            // location and *fire* the scheduler lookup instead of
-            // awaiting it. A nack during a peer's migration resolves
-            // once the directory names the committed destination.
-            Event::Nacked { req_id } => {
-                let dest = self.pending_conn.iter().find_map(|(d, pc)| match pc {
-                    PendingConn::Req { req_id: r, .. } if *r == req_id => Some(*d),
-                    _ => None,
-                });
-                if let Some(dest) = dest {
-                    self.trace(EventKind::ConnNack { to: dest });
-                    self.pl.remove(&dest);
-                    self.begin_lookup(dest)?;
-                }
-            }
-            Event::Sched(SchedReply::Location {
-                about,
-                status,
-                vmid,
-            }) => {
-                if matches!(
-                    self.pending_conn.get(&about),
-                    Some(PendingConn::Lookup { .. })
-                ) {
-                    match (status, vmid) {
-                        (ExeStatus::Terminated, _) | (_, None) => {
-                            self.pending_conn.remove(&about);
-                            return Err(ProtoError::DestinationTerminated(about));
-                        }
-                        (_, Some(v)) => {
-                            // Fresh location cached; the next
-                            // `connect_step` sends the conn_req there.
-                            self.pl.insert(about, v);
-                            self.pending_conn.remove(&about);
-                        }
-                    }
-                }
-            }
-            Event::Sched(SchedReply::Error { reason }) => {
-                return Err(ProtoError::Scheduler(reason))
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Fire (not await) a scheduler lookup for `dest` and record it as
-    /// the pending connect state.
-    fn begin_lookup(&mut self, dest: Rank) -> Result<(), ProtoError> {
-        self.trace(EventKind::SchedulerConsult { about: dest });
-        self.cell.sched_send(SchedRequest::Lookup {
-            about: dest,
-            reply: self.cell.reply_sender(),
-        })?;
-        self.pending_conn.insert(
-            dest,
-            PendingConn::Lookup {
-                next_resend: Instant::now() + CONN_RESEND,
-            },
-        );
-        Ok(())
-    }
-
-    /// Address and route one `conn_req` to `target`, recording it as
-    /// pending; a gone host invalidates the location and falls back to
-    /// a lookup (§3.1 requester-side daemon rejection).
-    fn send_conn_req(&mut self, dest: Rank, req_id: u64, target: Vmid) -> Result<(), ProtoError> {
-        let req = ConnReqMsg {
+    /// Route a `conn_req` from this process to `target` under `req_id`,
+    /// carrying the data channel the target will use toward us (Fig 3
+    /// line 2).
+    pub(crate) fn route_conn_req(&self, req_id: u64, target: Vmid) -> Result<(), EnvError> {
+        self.cell.route_conn_req(ConnReqMsg {
             req_id,
             from_rank: self.rank,
             from_vmid: self.cell.vmid(),
             target,
             reply: self.cell.reply_sender(),
             data_to_requester: self.cell.data_sender_to_me(target.host),
-        };
-        self.trace(EventKind::ConnReq { to: dest });
-        if let Err(EnvError::HostGone(_)) = self.cell.route_conn_req(req) {
-            self.trace(EventKind::ConnNack { to: dest });
-            self.pl.remove(&dest);
-            self.begin_lookup(dest)?;
-        } else {
-            self.pending_conn.insert(
-                dest,
-                PendingConn::Req {
-                    req_id,
-                    target,
-                    next_resend: Instant::now() + CONN_RESEND,
-                },
-            );
+        })
+    }
+
+    /// Close the channel toward `peer`, sending `end_of_messages` as the
+    /// last message on it (§3.2.2).
+    pub(crate) fn close_channel_to(&mut self, peer: Rank) {
+        if let Some(tx) = self.cc.remove(&peer) {
+            let _ = self.post_ctrl(&tx, Payload::EndOfMessages, FrameClass::Control);
+            self.trace(EventKind::ChannelClose { peer });
         }
+    }
+
+    /// Post a protocol frame (tag [`TAG_CTRL`]) on `tx` as `class`,
+    /// returning its modeled wire size.
+    pub(crate) fn post_ctrl(
+        &self,
+        tx: &PostSender<Incoming>,
+        payload: Payload,
+        class: FrameClass,
+    ) -> Result<usize, InboxClosed> {
+        let env = Envelope {
+            src: self.rank,
+            tag: TAG_CTRL,
+            msg: self.cell.tracer().next_msg_id(),
+            payload,
+        };
+        let bytes = env.wire_bytes();
+        tx.send_classed(Incoming::Data(env), bytes, class)
+            .map(|()| bytes)
+    }
+
+    // ------------------------------------------------------------------
+    // The protocol steps: connect (Fig 3), send (Fig 2), recv (Fig 4)
+    // ------------------------------------------------------------------
+    //
+    // Each step advances its algorithm without blocking, so a bounded
+    // worker pool can multiplex thousands of ranks: a blocked `connect`
+    // would otherwise pin its worker waiting for a grant from a rank the
+    // pool has not scheduled, which deadlocks once every worker is
+    // pinned. The blocking `send` and `recv` are short loops over the
+    // same steps that park on this process's inbox in between.
+
+    /// Drain every deliverable inbox message without blocking, running
+    /// the shared classifier on each (data → RML, inbound `conn_req` →
+    /// grant, markers → channel close + `Closed_conn`, grants, nacks and
+    /// location replies → the pending connects they answer).
+    pub fn pump(&mut self) -> Result<(), ProtoError> {
+        while self.next_event(Duration::ZERO)?.is_some() {}
         Ok(())
     }
 
     /// One non-blocking step of `connect` (Fig 3): returns `true` once
-    /// `dest` is in the `Connected` set. Each call advances the state
-    /// machine by at most one outbound message — the conn_req (or the
-    /// lookup that must precede it), or a re-send of a stalled one past
-    /// its pacing deadline. Grants, nacks and location replies arrive
-    /// through [`Self::pump`]. Unlike the blocking `connect` there is
-    /// no stale-retry cap: a harness stepping many ranks paces the
-    /// retry loop naturally, and nacks during a peer's migration are
-    /// expected to persist until the directory commits.
+    /// `dest` is in the `Connected` set. Each call sends at most one
+    /// message — the `conn_req` (or the lookup that must precede it), or
+    /// a re-send of a stalled one past its pacing deadline. Grants,
+    /// nacks and location replies reach the attempt through the inbox
+    /// classifier, whichever call happens to receive them. A failed
+    /// attempt is returned once, by the next step toward `dest`: the
+    /// scheduler reports the rank terminated
+    /// ([`ProtoError::DestinationTerminated`]), a re-lookup still names a
+    /// departed host ([`EnvError::HostGone`]), or the process that nacked
+    /// stays listed through 400 re-lookups, each followed by a 2 ms wait
+    /// ([`ProtoError::Watchdog`]`("connect retries")`).
     pub fn connect_step(&mut self, dest: Rank) -> Result<bool, ProtoError> {
         if self.cc.contains_key(&dest) {
             self.pending_conn.remove(&dest);
             return Ok(true);
         }
         let now = Instant::now();
-        match self.pending_conn.get(&dest) {
-            Some(PendingConn::Lookup { next_resend }) => {
-                if now >= *next_resend {
-                    self.begin_lookup(dest)?;
+        let pc = self.pending_conn.entry(dest).or_insert(PendingConn {
+            stage: ConnStage::Retry { at: now },
+            stale: 0,
+        });
+        match pc.stage {
+            ConnStage::Retry { at } if now >= at => match self.pl.get(&dest) {
+                Some(&target) => {
+                    let req_id = self.cell.next_req_id();
+                    self.send_conn_req(dest, req_id, target);
                 }
-            }
-            Some(PendingConn::Req {
+                None => self.begin_lookup(dest, None),
+            },
+            ConnStage::Lookup {
+                next_resend,
+                refused,
+            } if now >= next_resend => self.begin_lookup(dest, refused),
+            ConnStage::Req {
                 req_id,
                 target,
                 next_resend,
-            }) => {
-                if now >= *next_resend {
-                    let (req_id, target) = (*req_id, *target);
-                    self.send_conn_req(dest, req_id, target)?;
-                }
-            }
-            None => match self.pl.get(&dest) {
-                Some(v) => {
-                    let target = *v;
-                    let req_id = self.cell.next_req_id();
-                    self.send_conn_req(dest, req_id, target)?;
-                }
-                None => self.begin_lookup(dest)?,
-            },
+            } if now >= next_resend => self.send_conn_req(dest, req_id, target),
+            _ => {}
         }
-        Ok(self.cc.contains_key(&dest))
+        if let Some(PendingConn {
+            stage: ConnStage::Failed(e),
+            ..
+        }) = self.pending_conn.get(&dest)
+        {
+            let e = e.clone();
+            self.pending_conn.remove(&dest);
+            return Err(e);
+        }
+        Ok(false)
+    }
+
+    /// Fire (not await) a scheduler lookup for `dest`, prompted by
+    /// `refused` (none for a cold lookup).
+    fn begin_lookup(&mut self, dest: Rank, refused: Option<Refusal>) {
+        self.trace(EventKind::SchedulerConsult { about: dest });
+        let stage = match self.cell.sched_send(SchedRequest::Lookup {
+            about: dest,
+            reply: self.cell.reply_sender(),
+        }) {
+            Ok(()) => ConnStage::Lookup {
+                next_resend: Instant::now() + CONN_RESEND,
+                refused,
+            },
+            Err(e) => ConnStage::Failed(e.into()),
+        };
+        self.set_stage(dest, stage);
+    }
+
+    /// Drop the cached location of `dest` and look it up again.
+    fn relocate(&mut self, dest: Rank, refused: Refusal) {
+        self.pl.remove(&dest);
+        self.begin_lookup(dest, Some(refused));
+    }
+
+    /// Fig 3 line 2: route one `conn_req` to `target` and record it as
+    /// pending. A departed host is our own daemon rejecting on the
+    /// target's behalf (§3.1): re-locate.
+    fn send_conn_req(&mut self, dest: Rank, req_id: u64, target: Vmid) {
+        self.trace(EventKind::ConnReq { to: dest });
+        if let Err(EnvError::HostGone(h)) = self.route_conn_req(req_id, target) {
+            self.trace(EventKind::ConnNack { to: dest });
+            self.relocate(dest, Refusal::HostGone(h));
+        } else {
+            self.set_stage(
+                dest,
+                ConnStage::Req {
+                    req_id,
+                    target,
+                    next_resend: Instant::now() + CONN_RESEND,
+                },
+            );
+        }
+    }
+
+    fn set_stage(&mut self, dest: Rank, stage: ConnStage) {
+        if let Some(pc) = self.pending_conn.get_mut(&dest) {
+            pc.stage = stage;
+        }
+    }
+
+    /// When the connect machine toward `dest` next acts without a
+    /// message arriving: a re-send, the stale wait, or now.
+    fn connect_timer(&self, dest: Rank) -> Instant {
+        match self.pending_conn.get(&dest).map(|pc| &pc.stage) {
+            Some(ConnStage::Retry { at }) => *at,
+            Some(ConnStage::Lookup { next_resend, .. } | ConnStage::Req { next_resend, .. }) => {
+                *next_resend
+            }
+            _ => Instant::now(),
+        }
+    }
+
+    /// The blocking driver: repeat `step` until it reports done, parking
+    /// on the inbox in between until the next message arrives (the
+    /// classifier handles it on the spot) or the connect machine toward
+    /// `dest` is due.
+    fn drive(
+        &mut self,
+        dest: Rank,
+        mut step: impl FnMut(&mut Self) -> Result<bool, ProtoError>,
+    ) -> Result<(), ProtoError> {
+        let deadline = Instant::now() + WATCHDOG;
+        while !step(self)? {
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(ProtoError::Watchdog("connect"));
+            }
+            let wake = self.connect_timer(dest).min(deadline);
+            self.next_event(wake.saturating_duration_since(now))?;
+        }
+        Ok(())
+    }
+
+    /// Establish a connection with `dest` (sender-initiated, §3.1),
+    /// blocking until it is granted or fails.
+    pub(crate) fn connect(&mut self, dest: Rank) -> Result<(), ProtoError> {
+        self.drive(dest, |p| {
+            p.pump()?;
+            p.connect_step(dest)
+        })
     }
 
     /// Non-blocking send (Fig 2): `Ok(true)` when the message was
     /// posted to the channel, `Ok(false)` when the connection is still
     /// being established (nothing was sent — call again later). A
     /// channel that died because the peer migrated away or terminated
-    /// is dropped and re-resolved on the next call, like the blocking
-    /// `send`'s retry loop unrolled one step per call.
+    /// is dropped and re-resolved on the next call.
     pub fn try_send(&mut self, dest: Rank, tag: Tag, payload: &Bytes) -> Result<bool, ProtoError> {
         self.pump()?;
+        // Fig 2 lines 1–3.
         if !self.connect_step(dest)? {
             return Ok(false);
         }
@@ -868,6 +734,12 @@ impl SnowProcess {
             payload: Payload::Data(payload.clone()),
         };
         let bytes = env.wire_bytes();
+        // Fig 2 line 4. The timestamp is captured before the post: the
+        // receiver can consume (and trace) the message the instant it
+        // lands, and its RecvDone must sort after our Send for the log
+        // to stay causal. Recording still happens only on success, so a
+        // dead-inbox retry leaves no event. With tracing off the hot
+        // path pays neither the clock read nor the event construction.
         let msg = env.msg;
         let t_send = if self.cell.tracer().is_enabled() {
             Some(self.cell.tracer().now_ns())
@@ -891,11 +763,46 @@ impl SnowProcess {
                 Ok(true)
             }
             Err(_) => {
+                // The peer's inbox died: it terminated or its migration
+                // completed and the old process exited. Drop the stale
+                // channel and re-resolve; the scheduler reports
+                // Terminated if it is truly gone.
                 self.cc.remove(&dest);
                 self.pl.remove(&dest);
                 Ok(false)
             }
         }
+    }
+
+    /// Send `payload` to rank `dest` under `tag`. Establishes the
+    /// connection first when necessary; never blocks on the receiver
+    /// (buffered mode, §2.3). If the channel died because the peer
+    /// migrated away, re-locates and retries transparently.
+    pub fn send(&mut self, dest: Rank, tag: Tag, payload: Bytes) -> Result<(), ProtoError> {
+        self.drive(dest, |p| p.try_send(dest, tag, &payload))
+    }
+
+    /// Fig 4 lines 2–4: take the first buffered message matching
+    /// `src`/`tag` and trace its delivery; `from_rml` marks a match
+    /// found before this receive read anything new.
+    fn deliver(
+        &mut self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+        from_rml: bool,
+    ) -> Option<(Rank, Tag, Bytes)> {
+        let env = self.rml.take_match(src, tag)?;
+        let Payload::Data(body) = env.payload else {
+            unreachable!("only data envelopes enter the RML")
+        };
+        self.trace(EventKind::RecvDone {
+            from: env.src,
+            tag: env.tag,
+            bytes: body.len(),
+            msg: env.msg,
+            from_rml,
+        });
+        Some((env.src, env.tag, body))
     }
 
     /// Non-blocking receive (Fig 4): drain deliverable traffic, then
@@ -907,23 +814,36 @@ impl SnowProcess {
         tag: Option<Tag>,
     ) -> Result<Option<(Rank, Tag, Bytes)>, ProtoError> {
         self.pump()?;
-        match self.rml.take_match(src, tag) {
-            Some(env) => {
-                let body = match env.payload {
-                    Payload::Data(b) => b,
-                    _ => unreachable!("only data envelopes enter the RML"),
-                };
-                self.trace(EventKind::RecvDone {
-                    from: env.src,
-                    tag: env.tag,
-                    bytes: body.len(),
-                    msg: env.msg,
-                    from_rml: true,
-                });
-                Ok(Some((env.src, env.tag, body)))
+        Ok(self.deliver(src, tag, true))
+    }
+
+    /// Receive a message matching `src`/`tag` (either may be `None` for
+    /// a wildcard). Searches the received-message-list first; new
+    /// unwanted messages are appended to it.
+    pub fn recv(
+        &mut self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+    ) -> Result<(Rank, Tag, Bytes), ProtoError> {
+        self.trace(EventKind::RecvStart { from: src, tag });
+        let mut from_rml = true;
+        loop {
+            if let Some(m) = self.deliver(src, tag, from_rml) {
+                return Ok(m);
             }
-            None => Ok(None),
+            from_rml = false;
+            // Fig 4 lines 5–15: park for one new data or control
+            // message; the classifier implements lines 6–14.
+            self.wait_event("recv")?;
         }
+    }
+
+    /// Non-blocking probe: is a matching message already buffered or
+    /// deliverable? Drains deliverable inbox traffic into the RML first;
+    /// consumes nothing and leaves the RML's order as it is.
+    pub fn probe(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Result<bool, ProtoError> {
+        self.pump()?;
+        Ok(self.rml.has_match(src, tag))
     }
 
     // ------------------------------------------------------------------

@@ -46,11 +46,20 @@ impl Rml {
     /// a wildcard) and remove it (Fig 4 lines 2–3). Matching is
     /// first-match-in-order, which preserves per-source FIFO.
     pub fn take_match(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Option<Envelope> {
-        let pos = self
-            .list
-            .iter()
-            .position(|e| src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t))?;
+        let pos = self.position(src, tag)?;
         self.list.remove(pos)
+    }
+
+    /// Is a message matching `src`/`tag` buffered? Moves nothing, so a
+    /// probe cannot reorder the list.
+    pub(crate) fn has_match(&self, src: Option<Rank>, tag: Option<Tag>) -> bool {
+        self.position(src, tag).is_some()
+    }
+
+    fn position(&self, src: Option<Rank>, tag: Option<Tag>) -> Option<usize> {
+        self.list
+            .iter()
+            .position(|e| src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t))
     }
 
     /// Drain everything, in order — the migration path (Fig 5 line 8).

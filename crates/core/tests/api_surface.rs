@@ -8,35 +8,44 @@ use std::time::Duration;
 
 #[test]
 fn probe_does_not_consume() {
-    let comp = Computation::builder().hosts(HostSpec::ideal(), 2).build();
-    let handles = comp.launch(2, move |mut p, _start| match p.rank() {
-        0 => {
-            // The sender must first get its connection granted (which
-            // our probe's drain performs), then its data can arrive —
-            // poll until the message shows up.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while !p.probe(Some(1), Some(7)).unwrap() {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "message never arrived"
-                );
-                std::thread::sleep(Duration::from_millis(1));
+    // Each input is the tag sequence rank 1 sends; the probed tag 7
+    // comes last. A probe must neither consume its match nor move it
+    // ahead of older messages from the same source.
+    for tags in [vec![7], vec![6, 7]] {
+        let comp = Computation::builder().hosts(HostSpec::ideal(), 2).build();
+        let handles = comp.launch(2, move |mut p, _start| match p.rank() {
+            0 => {
+                // The sender must first get its connection granted
+                // (which our probe's drain performs), then its data can
+                // arrive — poll until the message shows up.
+                let deadline = std::time::Instant::now() + Duration::from_secs(5);
+                while !p.probe(Some(1), Some(7)).unwrap() {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "message never arrived"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                assert!(p.probe(Some(1), Some(7)).unwrap(), "probe must not consume");
+                assert!(!p.probe(Some(1), Some(99)).unwrap());
+                for &want in &tags {
+                    let (_s, t, b) = p.recv(Some(1), None).unwrap();
+                    assert_eq!((t, &b[..]), (want, &b"x"[..]), "per-source FIFO");
+                }
+                assert!(!p.probe(Some(1), Some(7)).unwrap(), "recv consumed it");
+                p.finish();
             }
-            assert!(p.probe(Some(1), Some(7)).unwrap(), "probe must not consume");
-            assert!(!p.probe(Some(1), Some(99)).unwrap());
-            let (_s, _t, b) = p.recv(Some(1), Some(7)).unwrap();
-            assert_eq!(&b[..], b"x");
-            assert!(!p.probe(Some(1), Some(7)).unwrap(), "recv consumed it");
-            p.finish();
+            1 => {
+                for &t in &tags {
+                    p.send(0, t, Bytes::from_static(b"x")).unwrap();
+                }
+                p.finish();
+            }
+            _ => unreachable!(),
+        });
+        for h in handles {
+            h.join().unwrap();
         }
-        1 => {
-            p.send(0, 7, Bytes::from_static(b"x")).unwrap();
-            p.finish();
-        }
-        _ => unreachable!(),
-    });
-    for h in handles {
-        h.join().unwrap();
     }
 }
 

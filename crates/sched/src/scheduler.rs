@@ -133,6 +133,10 @@ struct InFlight {
     new_vmid: Vmid,
     requester: Option<PostSender<Incoming>>,
     attempts: u32,
+    /// The source has announced `migration_start`. Until then no
+    /// destination can hold its state, so restore-complete and commit
+    /// are refused.
+    started: bool,
     deadline: Option<Instant>,
     failed_hosts: Vec<HostId>,
     /// When this migration is one job of a host drain, the draining
@@ -225,8 +229,9 @@ impl SchedState {
                 reply,
             } => self.start_migration(cell, rank, to_host, reply),
             SchedRequest::MigrationStart { rank, reply } => {
-                match self.in_flight.get(&rank) {
+                match self.in_flight.get_mut(&rank) {
                     Some(mig) => {
+                        mig.started = true;
                         self.records.stamp(mig.record, MigrationPhase::Started);
                         let new_vmid = mig.new_vmid;
                         // Only NOW may lookups redirect: the migrating
@@ -258,7 +263,7 @@ impl SchedState {
                 new_vmid,
                 reply,
             } => match self.in_flight.get(&rank) {
-                Some(mig) => {
+                Some(mig) if mig.started => {
                     debug_assert_eq!(mig.new_vmid, new_vmid);
                     self.records.stamp(mig.record, MigrationPhase::Restored);
                     let entries = self
@@ -270,6 +275,15 @@ impl SchedState {
                     let old_vmid = mig.old_vmid;
                     self.reply(&reply, SchedReply::PlTable { entries, old_vmid });
                 }
+                // Restored before the source even started: no state can
+                // have reached the destination yet (the phase order of
+                // DESIGN.md "Findings").
+                Some(_) => self.reply(
+                    &reply,
+                    SchedReply::Error {
+                        reason: format!("rank {rank}: restore before migration_start"),
+                    },
+                ),
                 None => self.reply(
                     &reply,
                     SchedReply::Error {
@@ -277,7 +291,9 @@ impl SchedState {
                     },
                 ),
             },
-            SchedRequest::MigrationCommit { rank } => {
+            SchedRequest::MigrationCommit { rank }
+                if self.in_flight.get(&rank).is_some_and(|m| m.started) =>
+            {
                 if let Some(mig) = self.in_flight.remove(&rank) {
                     self.records.stamp(mig.record, MigrationPhase::Committed);
                     self.dir.insert(
@@ -308,6 +324,9 @@ impl SchedState {
                     }
                 }
             }
+            // A commit whose source has not announced `migration_start`
+            // is premature and ignored, like its restore-complete.
+            SchedRequest::MigrationCommit { .. } => {}
             SchedRequest::MigrationAbort {
                 rank,
                 reason,
@@ -424,6 +443,7 @@ impl SchedState {
                 new_vmid,
                 requester,
                 attempts: 1,
+                started: false,
                 deadline: self.config.deadline.map(|d| Instant::now() + d),
                 failed_hosts: Vec::new(),
                 drain,
@@ -1037,8 +1057,9 @@ mod tests {
         let h1 = vm.add_host(HostSpec::ideal());
 
         // The image plays the initialized process: restore-complete then
-        // commit.
+        // commit, once the source has started.
         let image: ProcessImage = Arc::new(move |cell: ProcessCell, rank: Rank| {
+            assert!(await_start_handshake(&cell, rank), "reaped before start");
             cell.sched_send(SchedRequest::RestoreComplete {
                 rank,
                 new_vmid: cell.vmid(),
@@ -1093,6 +1114,111 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert!(recs[0].reached(MigrationPhase::Committed));
         assert!(recs[0].total_seconds().unwrap() >= 0.0);
+    }
+
+    #[test]
+    fn restore_and_commit_before_start_are_refused() {
+        // The image reports restore-complete and commits before the
+        // source has announced migration_start. Neither may land: the
+        // source's start handshake afterwards must still get its vmid.
+        let vm = VirtualMachine::ideal();
+        let h0 = vm.add_host(HostSpec::ideal());
+        let h1 = vm.add_host(HostSpec::ideal());
+        let early_done = Arc::new(std::sync::Barrier::new(2));
+        let early_image = Arc::clone(&early_done);
+        let image: ProcessImage = Arc::new(move |cell: ProcessCell, rank: Rank| {
+            cell.sched_send(SchedRequest::RestoreComplete {
+                rank,
+                new_vmid: cell.vmid(),
+                reply: cell.reply_sender(),
+            })
+            .unwrap();
+            let restore_reply = cell.recv_incoming().unwrap();
+            cell.sched_send(SchedRequest::MigrationCommit { rank })
+                .unwrap();
+            // The scheduler answers one request at a time, so the reply
+            // to this lookup comes after it handled the commit.
+            cell.sched_send(SchedRequest::Lookup {
+                about: rank,
+                reply: cell.reply_sender(),
+            })
+            .unwrap();
+            let lookup_reply = cell.recv_incoming().unwrap();
+            early_image.wait();
+            assert!(
+                matches!(
+                    restore_reply,
+                    Incoming::Ctrl(Ctrl::Sched(SchedReply::Error { .. }))
+                ),
+                "early restore-complete must be refused, got {restore_reply:?}"
+            );
+            match lookup_reply {
+                Incoming::Ctrl(Ctrl::Sched(SchedReply::Location { status, vmid, .. })) => {
+                    assert_eq!(status, ExeStatus::Running, "early commit must be ignored");
+                    assert_ne!(vmid, Some(cell.vmid()), "early commit must be ignored");
+                }
+                other => panic!("expected Location, got {other:?}"),
+            }
+            (commit_image())(cell, rank);
+        });
+        let sched = spawn_scheduler(&vm, h0, image);
+        let client = SchedClient::new(&vm);
+        let (pv, pjoin) = vm
+            .spawn(h0, "p0", move |cell| {
+                assert_eq!(
+                    cell.wait_signal(std::time::Duration::from_secs(5)),
+                    Some(Signal::Migrate)
+                );
+                early_done.wait();
+                cell.sched_send(SchedRequest::MigrationStart {
+                    rank: 0,
+                    reply: cell.reply_sender(),
+                })
+                .unwrap();
+                match cell.recv_incoming().unwrap() {
+                    Incoming::Ctrl(Ctrl::Sched(SchedReply::NewVmid { new_vmid })) => {
+                        assert_eq!(new_vmid.host, h1);
+                    }
+                    other => panic!("expected NewVmid, got {other:?}"),
+                }
+            })
+            .unwrap();
+        client.register(0, pv).unwrap();
+        let new_vmid = client.migrate(0, h1).unwrap();
+        assert_eq!(new_vmid.host, h1);
+        pjoin.join().unwrap();
+        for j in sched.take_init_joins() {
+            j.join().unwrap();
+        }
+        let recs = sched.records();
+        assert_eq!(recs.len(), 1);
+        assert!(recs[0].reached(MigrationPhase::Committed));
+    }
+
+    /// Stand by as an initialized process until the source's
+    /// `migration_start` has redirected the directory to us: the
+    /// earliest point at which the real `initialize()` can hold the
+    /// state, so stub images report restore no sooner. `false` when the
+    /// scheduler reaps the stub first.
+    fn await_start_handshake(cell: &ProcessCell, rank: Rank) -> bool {
+        loop {
+            cell.sched_send(SchedRequest::Lookup {
+                about: rank,
+                reply: cell.reply_sender(),
+            })
+            .unwrap();
+            match cell.recv_incoming() {
+                Ok(Incoming::Ctrl(Ctrl::Sched(SchedReply::Location { vmid, .. })))
+                    if vmid == Some(cell.vmid()) =>
+                {
+                    return true
+                }
+                Ok(Incoming::Ctrl(Ctrl::Sched(SchedReply::MigrationAborted { .. }))) | Err(_) => {
+                    return false
+                }
+                Ok(_) => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
     }
 
     /// A stub image that stands by until the scheduler reaps it (how a
@@ -1175,6 +1301,7 @@ mod tests {
                 (reapable_image())(cell, rank);
                 return;
             }
+            assert!(await_start_handshake(&cell, rank), "reaped before start");
             cell.sched_send(SchedRequest::RestoreComplete {
                 rank,
                 new_vmid: cell.vmid(),
@@ -1302,6 +1429,9 @@ mod tests {
     /// table, and commits.
     fn commit_image() -> ProcessImage {
         Arc::new(|cell: ProcessCell, rank: Rank| {
+            if !await_start_handshake(&cell, rank) {
+                return;
+            }
             cell.sched_send(SchedRequest::RestoreComplete {
                 rank,
                 new_vmid: cell.vmid(),

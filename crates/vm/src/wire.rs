@@ -39,7 +39,7 @@ pub enum Payload {
     ExeMemStateChunk {
         /// Position in the stream (0 = header chunk).
         seq: u32,
-        /// FNV-1a of `bytes`.
+        /// XXH64 of `bytes`.
         checksum: u64,
         /// This chunk's slice of the canonical state body.
         bytes: Bytes,
@@ -47,7 +47,7 @@ pub enum Payload {
     /// Closes a chunked state stream: whole-state digest plus totals the
     /// destination must reproduce before restoring.
     ExeMemStateDigest {
-        /// FNV-1a over the whole reassembled body.
+        /// XXH64 over the whole reassembled body.
         digest: u64,
         /// Number of chunks sent.
         chunks: u32,

@@ -13,7 +13,9 @@ mod support;
 
 use bytes::Bytes;
 use snow::prelude::*;
+use snow::vm::process::EnvError;
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 /// After rank 0 migrates away, its source host leaves entirely; a peer
 /// that has never spoken to rank 0 can still reach it (via scheduler
@@ -108,10 +110,17 @@ fn late_joining_host_receives_migrant() {
 }
 
 /// Sending toward a vanished host (left without migration) surfaces a
-/// clean error once the scheduler learns of the termination — the
-/// requester's daemon rejects on behalf of the missing target daemon.
+/// clean error — the requester's daemon rejects on behalf of the
+/// missing target daemon — and both drivers of the connect machine
+/// reach the same verdict.
 #[test]
 fn vanished_host_yields_nack_not_hang() {
+    for driver in support::Driver::BOTH {
+        send_into_vanished_host(driver);
+    }
+}
+
+fn send_into_vanished_host(driver: support::Driver) {
     let comp = Computation::builder().hosts(HostSpec::ideal(), 3).build();
     let victim_host = comp.hosts()[1];
 
@@ -132,13 +141,21 @@ fn vanished_host_yields_nack_not_hang() {
         1 => {
             removed_app.wait();
             // rank 0's host is gone and rank 0 never told the scheduler
-            // it terminated: the lookup still names the dead vmid, so
-            // the outcome must be an error or (if the scheduler already
-            // knows) DestinationTerminated — never a hang or a silent
-            // drop.
-            let r = p.send(0, 1, Bytes::from_static(b"?"));
-            assert!(r.is_err(), "send into a vanished host must fail");
+            // it terminated: the re-lookup still names the departed
+            // host, so the daemon's rejection surfaces as HostGone —
+            // never a hang or a silent drop.
+            let t0 = Instant::now();
+            let r = driver.send(&mut p, 0, 1, Bytes::from_static(b"?"));
+            let took = t0.elapsed();
             probed_app.wait();
+            assert!(
+                matches!(r, Err(ProtoError::Env(EnvError::HostGone(h))) if h == victim_host),
+                "{driver:?}: send into a vanished host gave {r:?}"
+            );
+            assert!(
+                took < Duration::from_secs(5),
+                "{driver:?}: verdict took {took:?}"
+            );
         }
         _ => unreachable!(),
     });

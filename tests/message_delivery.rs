@@ -4,8 +4,10 @@
 //! at the trace level (no unmatched sends, no duplicate receives).
 
 use bytes::Bytes;
+mod support;
+
 use snow::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn await_migration(p: &mut SnowProcess) {
     while !p.poll_point().unwrap() {
@@ -152,31 +154,47 @@ fn unconsumed_rml_messages_survive() {
     assert!(forwarded >= 10, "only {forwarded} forwarded");
 }
 
-/// Sending to a rank that terminated reports an error rather than
-/// silently dropping (Fig 3 line 13).
+/// Sending to a rank that has exited reports an error rather than
+/// silently dropping, and both drivers of the connect machine reach the
+/// same verdict: "destination terminated" once the scheduler knows
+/// (Fig 3 line 13), and the stale-retry cap when the rank returned
+/// without `finish()`, so the directory keeps its dead vmid and the
+/// daemon nacks every `conn_req`.
 #[test]
 fn send_to_terminated_rank_errors() {
+    for driver in support::Driver::BOTH {
+        send_to_departed_rank(driver, true, ProtoError::DestinationTerminated(0));
+        send_to_departed_rank(driver, false, ProtoError::Watchdog("connect retries"));
+    }
+}
+
+/// Rank 0 exits — through `finish()` when `finish` is set, else by just
+/// returning — and rank 1 then sends to it through `driver`. The send
+/// must fail with `want` within 5 s.
+fn send_to_departed_rank(driver: support::Driver, finish: bool, want: ProtoError) {
     let comp = Computation::builder().hosts(HostSpec::ideal(), 2).build();
     let handles = comp.launch(2, move |mut p, _start| match p.rank() {
         0 => {
-            p.finish(); // terminate immediately
+            if finish {
+                p.finish();
+            }
         }
         1 => {
             // Wait for rank 0 to be gone, then try to reach it.
             std::thread::sleep(Duration::from_millis(50));
-            let err = loop {
-                match p.send(0, 1, Bytes::from_static(b"into the void")) {
-                    Err(e) => break e,
-                    Ok(()) => {
-                        // Raced the termination: the channel was still
-                        // up. Retry until the scheduler reports death.
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
+            let (err, took) = loop {
+                let t0 = Instant::now();
+                match driver.send(&mut p, 0, 1, Bytes::from_static(b"into the void")) {
+                    Err(e) => break (e, t0.elapsed()),
+                    // Raced the exit: the channel was still up. Retry
+                    // until the exit is seen.
+                    Ok(()) => std::thread::sleep(Duration::from_millis(10)),
                 }
             };
+            assert_eq!(err, want, "{driver:?}");
             assert!(
-                matches!(err, ProtoError::DestinationTerminated(0)),
-                "unexpected error {err:?}"
+                took < Duration::from_secs(5),
+                "{driver:?}: verdict took {took:?}"
             );
             p.finish();
         }

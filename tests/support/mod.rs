@@ -62,3 +62,44 @@ pub fn await_migration(p: &mut snow::prelude::SnowProcess) {
         .unwrap()
     {}
 }
+
+/// The two drivers of the one connect/send state machine in
+/// `SnowProcess`: the blocking call, and a cooperative step loop.
+#[derive(Debug, Clone, Copy)]
+pub enum Driver {
+    /// `SnowProcess::send`, which parks between steps.
+    Blocking,
+    /// `SnowProcess::try_send` called until it posts or errors, as a
+    /// cooperative pool drives a rank.
+    Stepped,
+}
+
+impl Driver {
+    /// Both drivers, for tests that must see the same verdict from each.
+    pub const BOTH: [Driver; 2] = [Driver::Blocking, Driver::Stepped];
+
+    /// Send `payload` to `dest` through this driver. The step loop
+    /// gives up after 10 s without a verdict and reports that as
+    /// `Watchdog("try_send loop cap")`.
+    pub fn send(
+        self,
+        p: &mut snow::prelude::SnowProcess,
+        dest: snow::prelude::Rank,
+        tag: snow::prelude::Tag,
+        payload: bytes::Bytes,
+    ) -> Result<(), snow::prelude::ProtoError> {
+        match self {
+            Driver::Blocking => p.send(dest, tag, payload),
+            Driver::Stepped => {
+                let cap = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while !p.try_send(dest, tag, &payload)? {
+                    if std::time::Instant::now() >= cap {
+                        return Err(snow::prelude::ProtoError::Watchdog("try_send loop cap"));
+                    }
+                    std::thread::yield_now();
+                }
+                Ok(())
+            }
+        }
+    }
+}

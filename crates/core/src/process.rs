@@ -568,7 +568,9 @@ impl SnowProcess {
     /// grant, markers → channel close + `Closed_conn`, grants, nacks and
     /// location replies → the pending connects they answer).
     pub fn pump(&mut self) -> Result<(), ProtoError> {
-        while self.next_event(Duration::ZERO)?.is_some() {}
+        while let Some(inc) = self.cell.try_recv_incoming()? {
+            self.classify(inc);
+        }
         Ok(())
     }
 

@@ -20,7 +20,7 @@
 //! becoming an RCE surface.
 
 use crate::TimeScale;
-use snow_codec::{WireReader, WireWriter};
+use snow_codec::WireWriter;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -100,27 +100,139 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Encode one frame: header plus `body`, ready for a single `write_all`.
-/// Bodies above [`MAX_BODY_BYTES`] are rejected here, before any bytes
-/// touch the stream — a wrapped or oversized length field is not a
-/// recoverable receiver-side condition.
+/// Header bytes ahead of every body: the `u32` length, the version byte
+/// and the kind byte.
+const HEADER_BYTES: usize = 6;
+
+/// Widest unsigned LEB128 encoding of a `u64`: the room
+/// [`FrameEncoder::begin_prefixed`] reserves for a section's length.
+const MAX_UVARINT_BYTES: usize = 10;
+
+/// Builds one frame in a single buffer, so its body is written once and
+/// never copied.
+///
+/// The header is reserved up front and patched by
+/// [`FrameEncoder::finish`] once the body's length is known. A body may
+/// end in one length-prefixed section — the canonical `put_bytes`
+/// layout, a uvarint length then the bytes — written in place too:
+/// [`FrameEncoder::begin_prefixed`] reserves the widest prefix, and
+/// `finish` writes the real prefix flush against the section and moves
+/// the few bytes ahead of it (header and leading fields) up to meet it.
+/// The frame then starts a few bytes into its buffer, and the section
+/// itself never moves. The bytes are those [`encode_frame`] would give
+/// for the same body.
+pub struct FrameEncoder {
+    w: WireWriter,
+    /// Start of the room reserved for the trailing section's length.
+    prefix_at: Option<usize>,
+}
+
+impl FrameEncoder {
+    /// An empty frame whose body is expected to take about `body_hint`
+    /// bytes. The buffer is allocated once, with room for the header,
+    /// the hint (capped at [`MAX_BODY_BYTES`]) and a section prefix
+    /// twice over (its reserved room and the scratch `finish` encodes
+    /// it in); a longer body grows it.
+    pub fn new(body_hint: usize) -> Self {
+        let mut w = WireWriter::with_capacity(
+            HEADER_BYTES + 2 * MAX_UVARINT_BYTES + body_hint.min(MAX_BODY_BYTES),
+        );
+        w.put_raw(&[0; HEADER_BYTES]);
+        FrameEncoder { w, prefix_at: None }
+    }
+
+    /// The body so far: fields written here land in their final place.
+    pub fn body(&mut self) -> &mut WireWriter {
+        &mut self.w
+    }
+
+    /// Start the body's trailing section: everything written through
+    /// [`FrameEncoder::body`] after this call is framed as one
+    /// length-prefixed byte string, whose length `finish` fills in.
+    /// Call at most once per frame.
+    pub fn begin_prefixed(&mut self) {
+        assert!(self.prefix_at.is_none(), "one prefixed section per frame");
+        self.prefix_at = Some(self.w.len());
+        self.w.put_raw(&[0; MAX_UVARINT_BYTES]);
+    }
+
+    /// Patch the header (and the section prefix, if any) and hand out
+    /// the finished frame. A body above [`MAX_BODY_BYTES`] is rejected
+    /// here, before any bytes touch a stream: a wrapped or oversized
+    /// length field is not a recoverable receiver-side condition.
+    pub fn finish(self, kind: FrameKind) -> Result<EncodedFrame, FrameError> {
+        let (mut buf, start) = match self.prefix_at {
+            None => (self.w.into_bytes(), 0),
+            Some(at) => close_prefixed(self.w, at),
+        };
+        let body_len = buf.len() - start - HEADER_BYTES;
+        if body_len > MAX_BODY_BYTES {
+            return Err(FrameError::BodyTooLarge { len: body_len });
+        }
+        buf[start..start + HEADER_BYTES].copy_from_slice(&header(kind, body_len));
+        Ok(EncodedFrame { buf, start })
+    }
+}
+
+/// Fill in the length prefix of the section whose reserved room starts
+/// at `at`, and move the bytes ahead of the room up to meet the prefix.
+/// Returns the buffer and where the frame now starts in it.
+fn close_prefixed(mut w: WireWriter, at: usize) -> (Vec<u8>, usize) {
+    let section = at + MAX_UVARINT_BYTES;
+    let end = w.len();
+    // Encode the prefix as scratch past the end, copy it flush against
+    // the section and cut the scratch off.
+    w.put_uvarint((end - section) as u64);
+    let mut buf = w.into_bytes();
+    let width = buf.len() - end;
+    buf.copy_within(end.., section - width);
+    buf.truncate(end);
+    let start = MAX_UVARINT_BYTES - width;
+    buf.copy_within(..at, start);
+    (buf, start)
+}
+
+/// The header of a frame of `kind` whose body is `body_len` bytes
+/// (at most [`MAX_BODY_BYTES`]).
+fn header(kind: FrameKind, body_len: usize) -> [u8; HEADER_BYTES] {
+    let [a, b, c, d] = (2 + body_len as u32).to_be_bytes();
+    [a, b, c, d, FRAME_VERSION, kind.to_u8()]
+}
+
+/// A finished frame, header and body contiguous; see [`FrameEncoder`].
+pub struct EncodedFrame {
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl EncodedFrame {
+    /// The frame's wire bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+}
+
+/// Encode one frame around a body already in hand: header plus `body`,
+/// ready for a single `write_all`. Bodies above [`MAX_BODY_BYTES`] are
+/// rejected here, before any bytes touch the stream. A body encoded for
+/// the frame is written in place with [`FrameEncoder`] instead.
 pub fn encode_frame(kind: FrameKind, body: &[u8]) -> Result<Vec<u8>, FrameError> {
     if body.len() > MAX_BODY_BYTES {
         return Err(FrameError::BodyTooLarge { len: body.len() });
     }
-    let mut w = WireWriter::with_capacity(6 + body.len());
-    w.put_u32(2 + body.len() as u32);
-    w.put_u8(FRAME_VERSION);
-    w.put_u8(kind.to_u8());
+    let mut w = WireWriter::with_capacity(HEADER_BYTES + body.len());
+    w.put_raw(&header(kind, body.len()));
     w.put_raw(body);
     Ok(w.into_bytes())
 }
 
 /// Read exactly one frame off `r`. Returns `Ok(None)` on a clean EOF at
 /// a frame boundary (peer closed the stream); mid-frame EOF, an unknown
-/// version/kind or an oversized length are hard errors.
+/// version/kind or an oversized length are hard errors. The header is
+/// read and checked first, then the body is read straight into the
+/// returned buffer.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameKind, Vec<u8>)>> {
-    let mut head = [0u8; 4];
+    let mut head = [0u8; HEADER_BYTES];
     // A clean close lands here with zero bytes; anything partial is an
     // error like any other short read.
     let mut filled = 0;
@@ -138,31 +250,29 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameKind, Vec<u8>)>>
             Err(e) => return Err(e),
         }
     }
-    let mut rd = WireReader::new(&head);
-    let len = rd.get_u32().expect("4 header bytes");
+    let len = u32::from_be_bytes([head[0], head[1], head[2], head[3]]);
     if !(2..=MAX_FRAME_BYTES).contains(&len) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame length {len} outside [2, {MAX_FRAME_BYTES}]"),
         ));
     }
-    let mut rest = vec![0u8; len as usize];
-    r.read_exact(&mut rest)?;
-    let version = rest[0];
+    let version = head[4];
     if version != FRAME_VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame version {version}, expected {FRAME_VERSION}"),
         ));
     }
-    let kind = FrameKind::from_u8(rest[1]).ok_or_else(|| {
+    let kind = FrameKind::from_u8(head[5]).ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame kind {}", rest[1]),
+            format!("frame kind {}", head[5]),
         )
     })?;
-    rest.drain(..2);
-    Ok(Some((kind, rest)))
+    let mut body = vec![0u8; len as usize - 2];
+    r.read_exact(&mut body)?;
+    Ok(Some((kind, body)))
 }
 
 /// Write one frame to `w` and flush it. One syscall-visible write per
@@ -215,19 +325,15 @@ impl<W: Write> BatchWriter<W> {
     pub fn push(&mut self, kind: FrameKind, body: &[u8]) -> io::Result<()> {
         let bytes = encode_frame(kind, body)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        self.buf.extend_from_slice(&bytes);
-        self.pending += 1;
-        if self.buf.len() >= BATCH_FLUSH_BYTES {
-            self.flush()?;
-        }
-        Ok(())
+        self.push_encoded(&bytes)
     }
 
-    /// Append one already-encoded frame (the bytes [`encode_frame`]
-    /// produced) under the same auto-flush policy as [`push`]. Callers
-    /// that encode up front — to surface [`FrameError`] on the sending
-    /// thread before the frame crosses into a writer queue — hand the
-    /// bytes over here without re-encoding.
+    /// Append one already-encoded frame (the bytes [`encode_frame`] or
+    /// [`FrameEncoder`] produced) under the same auto-flush policy as
+    /// [`push`]. Callers that encode up front — to surface
+    /// [`FrameError`] on the sending thread before the frame crosses
+    /// into a writer queue — hand the bytes over here without
+    /// re-encoding.
     ///
     /// [`push`]: BatchWriter::push
     pub fn push_encoded(&mut self, frame: &[u8]) -> io::Result<()> {
@@ -349,6 +455,87 @@ mod tests {
         );
         // The boundary itself is legal.
         assert!(encode_frame(FrameKind::Inbox, &vec![0u8; MAX_BODY_BYTES]).is_ok());
+        // The in-place encoder counts the section prefix (4 bytes at
+        // this size) against the same cap.
+        let encode = |section: usize| {
+            let mut f = FrameEncoder::new(0);
+            f.begin_prefixed();
+            f.body().put_raw(&body[..section]);
+            f.finish(FrameKind::Inbox).map(|f| f.as_bytes().len())
+        };
+        assert_eq!(
+            encode(MAX_BODY_BYTES - 3),
+            Err(FrameError::BodyTooLarge {
+                len: MAX_BODY_BYTES + 1
+            })
+        );
+        assert_eq!(
+            encode(MAX_BODY_BYTES - 4),
+            Ok(HEADER_BYTES + MAX_BODY_BYTES)
+        );
+    }
+
+    #[test]
+    fn in_place_encoder_matches_copying_encode() {
+        // Section lengths whose uvarint prefix takes 1, 2 and 3 bytes,
+        // at and around each width's edge.
+        for section_len in [0usize, 1, 127, 128, 16_383, 16_384, 300_000] {
+            let section: Vec<u8> = (0..section_len).map(|i| (i * 31 + 7) as u8).collect();
+            let mut f = FrameEncoder::new(8);
+            f.body().put_u64(0x0102_0304_0506_0708);
+            f.body().put_u8(9);
+            f.begin_prefixed();
+            f.body().put_raw(&section);
+            let in_place = f.finish(FrameKind::Expose).unwrap();
+
+            let mut body = WireWriter::new();
+            body.put_u64(0x0102_0304_0506_0708);
+            body.put_u8(9);
+            body.put_bytes(&section);
+            let copied = encode_frame(FrameKind::Expose, body.as_slice()).unwrap();
+            assert_eq!(
+                in_place.as_bytes(),
+                &copied[..],
+                "section of {section_len} B"
+            );
+        }
+    }
+
+    /// A `Read` that hands out one byte per call, like a socket that
+    /// delivers a frame in the smallest possible pieces.
+    struct Trickle(Cursor<Vec<u8>>);
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn frames_parse_from_one_byte_reads() {
+        let bodies: [&[u8]; 3] = [b"first", b"", &[0xab; 300]];
+        let mut stream = Vec::new();
+        for (i, body) in bodies.iter().enumerate() {
+            let kind = [FrameKind::Inbox, FrameKind::Signal, FrameKind::Expose][i];
+            write_frame(&mut stream, kind, body).unwrap();
+        }
+        let mut r = Trickle(Cursor::new(stream.clone()));
+        for (i, body) in bodies.iter().enumerate() {
+            let kind = [FrameKind::Inbox, FrameKind::Signal, FrameKind::Expose][i];
+            assert_eq!(read_frame(&mut r).unwrap(), Some((kind, body.to_vec())));
+        }
+        assert!(
+            read_frame(&mut r).unwrap().is_none(),
+            "clean EOF at a boundary"
+        );
+        // Cut inside the header and inside the body: both are errors,
+        // never a clean close.
+        for cut in [1, HEADER_BYTES - 1, HEADER_BYTES + 2] {
+            let mut r = Trickle(Cursor::new(stream[..cut].to_vec()));
+            let err = read_frame(&mut r).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
     }
 
     #[test]

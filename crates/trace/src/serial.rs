@@ -1,10 +1,9 @@
 //! Structured event (de)serialization.
 //!
-//! [`crate::analysis::events_to_json`] renders `kind` as a Rust debug
-//! string — fine for eyeballing, useless for tooling. This module gives
-//! every [`EventKind`] a typed JSON shape (`{"type": "Send", "to": 1,
-//! ...}`) that round-trips exactly, so integration tests can dump their
-//! traces as JSONL and `snow-bench audit` can replay them offline.
+//! This module gives every [`EventKind`] a typed JSON shape
+//! (`{"type": "Send", "to": 1, ...}`) that round-trips exactly, so
+//! integration tests can dump their traces as JSONL and `snow-bench
+//! audit` can replay them offline.
 
 use crate::event::{Event, EventKind, MsgId};
 use crate::report::JsonValue;

@@ -168,13 +168,6 @@ fn get_envelope(r: &mut WireReader, v: &dyn SenderVault) -> Result<Envelope> {
     })
 }
 
-/// Encode a conn_req datagram body.
-pub(crate) fn encode_conn_req(v: &dyn SenderVault, req: &ConnReqMsg) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    put_conn_req(&mut w, v, req);
-    w.into_bytes()
-}
-
 /// Decode a conn_req datagram body.
 pub(crate) fn decode_conn_req(v: &dyn SenderVault, body: &[u8]) -> Result<ConnReqMsg> {
     let mut r = WireReader::new(body);
@@ -183,7 +176,8 @@ pub(crate) fn decode_conn_req(v: &dyn SenderVault, body: &[u8]) -> Result<ConnRe
     Ok(req)
 }
 
-fn put_conn_req(w: &mut WireWriter, v: &dyn SenderVault, req: &ConnReqMsg) {
+/// Write a conn_req datagram body.
+pub(crate) fn put_conn_req(w: &mut WireWriter, v: &dyn SenderVault, req: &ConnReqMsg) {
     w.put_u64(req.req_id);
     put_rank(w, req.from_rank);
     put_vmid(w, req.from_vmid);
@@ -643,20 +637,18 @@ fn get_ctrl(r: &mut WireReader, v: &dyn SenderVault) -> Result<Ctrl> {
     })
 }
 
-/// Encode one inbox message body.
-pub(crate) fn encode_incoming(v: &dyn SenderVault, msg: &Incoming) -> Vec<u8> {
-    let mut w = WireWriter::new();
+/// Write one inbox message body.
+pub(crate) fn put_incoming(w: &mut WireWriter, v: &dyn SenderVault, msg: &Incoming) {
     match msg {
         Incoming::Data(e) => {
             w.put_u8(0);
-            put_envelope(&mut w, v, e);
+            put_envelope(w, v, e);
         }
         Incoming::Ctrl(c) => {
             w.put_u8(1);
-            put_ctrl(&mut w, v, c);
+            put_ctrl(w, v, c);
         }
     }
-    w.into_bytes()
 }
 
 /// Decode one inbox message body.
@@ -671,17 +663,15 @@ pub(crate) fn decode_incoming(v: &dyn SenderVault, body: &[u8]) -> Result<Incomi
     Ok(msg)
 }
 
-/// Encode a signal body.
-pub(crate) fn encode_signal(sig: Signal) -> Vec<u8> {
-    let mut w = WireWriter::new();
+/// Write a signal body.
+pub(crate) fn put_signal(w: &mut WireWriter, sig: Signal) {
     match sig {
         Signal::Migrate => w.put_u8(0),
         Signal::Disconnect { from } => {
             w.put_u8(1);
-            put_rank(&mut w, from);
+            put_rank(w, from);
         }
     }
-    w.into_bytes()
 }
 
 /// Decode a signal body.
@@ -734,9 +724,16 @@ mod tests {
         }
     }
 
+    /// The bytes `put` writes into a fresh writer.
+    fn encoded(put: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        put(&mut w);
+        w.into_bytes()
+    }
+
     fn roundtrip(msg: &Incoming) -> Incoming {
         let v = MapVault::default();
-        let bytes = encode_incoming(&v, msg);
+        let bytes = encoded(|w| put_incoming(w, &v, msg));
         decode_incoming(&v, &bytes).expect("decode")
     }
 
@@ -813,7 +810,7 @@ mod tests {
             reply: reply.clone(),
             data_to_requester: reply,
         };
-        let bytes = encode_conn_req(&v, &req);
+        let bytes = encoded(|w| put_conn_req(w, &v, &req));
         let got = decode_conn_req(&v, &bytes).unwrap();
         assert_eq!(got.req_id, 42);
         assert_eq!(got.target, vmid(2, 3));
@@ -952,20 +949,26 @@ mod tests {
     #[test]
     fn signals_roundtrip() {
         for sig in [Signal::Migrate, Signal::Disconnect { from: 12 }] {
-            assert_eq!(decode_signal(&encode_signal(sig)).unwrap(), sig);
+            assert_eq!(
+                decode_signal(&encoded(|w| put_signal(w, sig))).unwrap(),
+                sig
+            );
         }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
         let v = MapVault::default();
-        let mut bytes = encode_signal(Signal::Migrate);
+        let mut bytes = encoded(|w| put_signal(w, Signal::Migrate));
         bytes.push(0);
         assert!(decode_signal(&bytes).is_err());
-        let mut bytes = encode_incoming(
-            &v,
-            &Incoming::Ctrl(Ctrl::Sched(SchedReply::Error { reason: "r".into() })),
-        );
+        let mut bytes = encoded(|w| {
+            put_incoming(
+                w,
+                &v,
+                &Incoming::Ctrl(Ctrl::Sched(SchedReply::Error { reason: "r".into() })),
+            )
+        });
         bytes.push(0);
         assert!(decode_incoming(&v, &bytes).is_err());
     }

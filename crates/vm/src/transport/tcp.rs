@@ -19,9 +19,10 @@
 //!   until the queue is momentarily empty (or
 //!   [`snow_net::frame::BATCH_FLUSH_BYTES`] accumulate) before
 //!   flushing, so a flood of small `Inbox`/`Signal` frames costs one
-//!   syscall per batch instead of one per frame. The queue bound is the
-//!   backpressure: senders outrunning the socket block in `send` until
-//!   the writer catches up.
+//!   syscall per batch instead of one per frame; the reader on the far
+//!   end reads through a buffer of that size, so a batch costs it one
+//!   `read` too. The queue bound is the backpressure: senders
+//!   outrunning the socket block in `send` until the writer catches up.
 //! * **Connectionless** ([`Transport::route_conn_req`]): the frame is
 //!   handed to the destination daemon, which draws the drop/duplicate
 //!   fault verdict exactly as in-process — fault semantics are
@@ -42,21 +43,23 @@
 //! stack.
 
 use super::codec::{
-    decode_conn_req, decode_incoming, decode_signal, encode_conn_req, encode_incoming,
-    encode_signal, SenderVault,
+    decode_conn_req, decode_incoming, decode_signal, put_conn_req, put_incoming, put_signal,
+    SenderVault,
 };
 use super::{NodeId, SendError, Transport};
 use crate::daemon::{DaemonHandle, DaemonMsg};
 use crate::ids::Vmid;
 use crate::post::{InboxClosed, Post, PostSender, RemoteTx};
 use crate::vm::Registry;
-use crate::wire::{ConnReqMsg, Incoming, Signal};
+use crate::wire::{ConnReqMsg, Incoming, Signal, ENVELOPE_OVERHEAD_BYTES};
 use parking_lot::{Mutex, RwLock};
 use snow_codec::{WireReader, WireWriter};
-use snow_net::frame::{encode_frame, read_frame, BatchWriter, FrameKind};
+use snow_net::frame::{
+    read_frame, BatchWriter, EncodedFrame, FrameEncoder, FrameError, FrameKind, BATCH_FLUSH_BYTES,
+};
 use snow_net::{FrameClass, LinkModel, TimeScale};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,7 +86,7 @@ const SEND_QUEUE_FRAMES: usize = 1024;
 /// queue's senders detect disconnection (writer died on a write error)
 /// the conn is evicted and the next send re-dials.
 struct Conn {
-    tx: crossbeam::channel::Sender<Vec<u8>>,
+    tx: crossbeam::channel::Sender<EncodedFrame>,
 }
 
 /// Drain `rx` onto `stream`, coalescing whatever is queued into shared
@@ -91,7 +94,7 @@ struct Conn {
 /// shutdown) — after putting any still-queued frames on the wire — or
 /// when a write fails, which drops the stream and lets queue senders
 /// observe the disconnect on their next send.
-fn writer_loop(rx: crossbeam::channel::Receiver<Vec<u8>>, stream: TcpStream) {
+fn writer_loop(rx: crossbeam::channel::Receiver<EncodedFrame>, stream: TcpStream) {
     let mut out = BatchWriter::new(stream);
     loop {
         // Park until there is work (or the conn is torn down).
@@ -102,7 +105,7 @@ fn writer_loop(rx: crossbeam::channel::Receiver<Vec<u8>>, stream: TcpStream) {
                 return;
             }
         };
-        if out.push_encoded(&frame).is_err() {
+        if out.push_encoded(frame.as_bytes()).is_err() {
             return;
         }
         // Opportunistic drain: everything queued behind the wakeup
@@ -112,7 +115,7 @@ fn writer_loop(rx: crossbeam::channel::Receiver<Vec<u8>>, stream: TcpStream) {
         loop {
             match rx.try_recv() {
                 Ok(f) => {
-                    if out.push_encoded(&f).is_err() {
+                    if out.push_encoded(f.as_bytes()).is_err() {
                         return;
                     }
                 }
@@ -255,8 +258,11 @@ impl Inner {
     /// Queue one frame for `dst`'s writer, dialing (or re-dialing after
     /// the writer died on a broken socket) as needed. Blocks only when
     /// `dst`'s queue is full — backpressure from that one socket, not a
-    /// global stall.
-    fn send_frame(&self, dst: u32, kind: FrameKind, body: &[u8]) -> Result<(), SendError> {
+    /// global stall. Frames are encoded on the sending thread, so an
+    /// oversized body has already surfaced there as a typed error
+    /// instead of desyncing the stream or killing the connection
+    /// receiver-side.
+    fn send_frame(&self, dst: u32, frame: EncodedFrame) -> Result<(), SendError> {
         if self.down.load(Ordering::SeqCst) {
             return Err(SendError::Unroutable);
         }
@@ -266,10 +272,6 @@ impl Inner {
             .get(&dst)
             .map(|n| n.addr)
             .ok_or(SendError::Unroutable)?;
-        // Encode on the sending thread so an oversized body surfaces
-        // here as a typed error instead of desyncing the stream or
-        // killing the connection receiver-side.
-        let frame = encode_frame(kind, body).map_err(|_| SendError::TooLarge)?;
         let mut frame = Some(frame);
         for attempt in 0..2 {
             let conn = self.conn_to(dst, addr)?;
@@ -354,19 +356,50 @@ impl RemoteTx<Incoming> for TcpRemoteTx {
             inner: Arc::clone(&self.inner),
             local: self.local,
         };
-        let mut w = WireWriter::new();
-        w.put_u64(self.id);
-        w.put_u64(bytes as u64);
-        w.put_u8(class_byte(class));
-        w.put_bytes(&encode_incoming(&vault, &msg));
+        let frame = message_frame(
+            FrameKind::Expose,
+            |w| w.put_u64(self.id),
+            &vault,
+            &msg,
+            bytes,
+            class,
+        )
+        .map_err(|_| InboxClosed)?;
         self.inner
-            .send_frame(self.home, FrameKind::Expose, w.as_slice())
+            .send_frame(self.home, frame)
             .map_err(|_| InboxClosed)
     }
 
     fn addr(&self) -> (u32, u64) {
         (self.home, self.id)
     }
+}
+
+/// Fixed fields ahead of the message in an `Inbox` or `Expose` frame:
+/// the 8-byte address (vmid or expose id), the modeled size and the
+/// class.
+const MESSAGE_LEAD_BYTES: usize = 8 + 8 + 1;
+
+/// Encode an `Inbox` or `Expose` frame in one buffer sized from the
+/// message's modeled size: `address` writes the 8-byte address, then
+/// the modeled size, the class and the length-prefixed message follow.
+/// The modeled size counts a fixed envelope overhead above the payload,
+/// so the buffer normally holds the whole frame without growing.
+fn message_frame(
+    kind: FrameKind,
+    address: impl FnOnce(&mut WireWriter),
+    vault: &NodeVault,
+    msg: &Incoming,
+    bytes: usize,
+    class: FrameClass,
+) -> Result<EncodedFrame, FrameError> {
+    let mut f = FrameEncoder::new(bytes.saturating_add(MESSAGE_LEAD_BYTES));
+    address(f.body());
+    f.body().put_u64(bytes as u64);
+    f.body().put_u8(class_byte(class));
+    f.begin_prefixed();
+    put_incoming(f.body(), vault, msg);
+    f.finish(kind)
 }
 
 fn class_byte(class: FrameClass) -> u8 {
@@ -384,7 +417,16 @@ fn byte_class(b: u8) -> FrameClass {
     }
 }
 
-fn reader_loop(inner: Arc<Inner>, node_id: u32, node: Arc<Node>, mut stream: TcpStream) {
+fn reader_loop(inner: Arc<Inner>, node_id: u32, node: Arc<Node>, stream: TcpStream) {
+    // The peer's writer flushes at most about BATCH_FLUSH_BYTES at a
+    // time, so a buffer that size takes a whole flush in one `read`
+    // rather than two per frame (header, then body). A body larger than
+    // the buffer is read past it, straight into the frame's own Vec.
+    let mut stream = BufReader::with_capacity(BATCH_FLUSH_BYTES, stream);
+    let vault = NodeVault {
+        inner: Arc::clone(&inner),
+        local: node_id,
+    };
     loop {
         let (kind, body) = match read_frame(&mut stream) {
             Ok(Some(f)) => f,
@@ -395,10 +437,6 @@ fn reader_loop(inner: Arc<Inner>, node_id: u32, node: Arc<Node>, mut stream: Tcp
         if inner.down.load(Ordering::SeqCst) {
             return;
         }
-        let vault = NodeVault {
-            inner: Arc::clone(&inner),
-            local: node_id,
-        };
         // Dispatch must never block: every sink below is an unbounded
         // queue, so a slow process cannot back-pressure the socket into
         // deadlock. Malformed bodies are dropped like corrupt datagrams.
@@ -429,8 +467,13 @@ fn reader_loop(inner: Arc<Inner>, node_id: u32, node: Arc<Node>, mut stream: Tcp
                 let Ok(msg) = decode_incoming(&vault, raw) else {
                     continue;
                 };
-                let target = node.exposed.lock().get(&id).cloned();
-                if let Some(s) = target {
+                // Delivered under the table lock: cloning the sender out
+                // would cost a lock on its inbox, and dropping the clone
+                // another. Only process-local senders are ever exposed
+                // (`NodeVault::expose` forwards a remote one's existing
+                // name), and a local sender feeds an unbounded queue, so
+                // this send cannot block or re-enter the table.
+                if let Some(s) = node.exposed.lock().get(&id) {
                     let _ = s.send_classed(msg, bytes as usize, byte_class(class));
                 }
             }
@@ -552,20 +595,27 @@ impl Transport for TcpTransport {
             return Err(SendError::TooLarge);
         }
         let vault = self.vault(from.0);
-        let mut w = WireWriter::new();
-        write_vmid(&mut w, to);
-        w.put_u64(bytes as u64);
-        w.put_u8(class_byte(class));
-        w.put_bytes(&encode_incoming(&vault, &msg));
-        self.inner
-            .send_frame(to.host.0, FrameKind::Inbox, w.as_slice())
+        let frame = message_frame(
+            FrameKind::Inbox,
+            |w| write_vmid(w, to),
+            &vault,
+            &msg,
+            bytes,
+            class,
+        )
+        .map_err(|_| SendError::TooLarge)?;
+        self.inner.send_frame(to.host.0, frame)
     }
 
     fn route_conn_req(&self, from: NodeId, req: ConnReqMsg) -> Result<(), SendError> {
         let dst = req.target.host.0;
         let vault = self.vault(from.0);
-        let body = encode_conn_req(&vault, &req);
-        self.inner.send_frame(dst, FrameKind::ConnReq, &body)
+        let mut f = FrameEncoder::new(ENVELOPE_OVERHEAD_BYTES);
+        put_conn_req(f.body(), &vault, &req);
+        let frame = f
+            .finish(FrameKind::ConnReq)
+            .map_err(|_| SendError::TooLarge)?;
+        self.inner.send_frame(dst, frame)
     }
 
     fn signal(&self, to: Vmid, sig: Signal) -> bool {
@@ -579,12 +629,12 @@ impl Transport for TcpTransport {
         if !alive {
             return false;
         }
-        let mut w = WireWriter::new();
-        write_vmid(&mut w, to);
-        w.put_bytes(&encode_signal(sig));
-        self.inner
-            .send_frame(to.host.0, FrameKind::Signal, w.as_slice())
-            .is_ok()
+        let mut f = FrameEncoder::new(ENVELOPE_OVERHEAD_BYTES);
+        write_vmid(f.body(), to);
+        f.begin_prefixed();
+        put_signal(f.body(), sig);
+        f.finish(FrameKind::Signal)
+            .is_ok_and(|frame| self.inner.send_frame(to.host.0, frame).is_ok())
     }
 
     fn shutdown(&self) {

@@ -161,6 +161,91 @@ fn batched_burst_with_large_chunks_keeps_fifo_on_every_backend() {
     });
 }
 
+/// The same mixed burst through a *virtualized* sender — a reply handle
+/// that crossed the wire inside a grant. On TCP every message rides an
+/// `Expose` frame to the handle's home node, which delivers it through
+/// its expose table. Bodies depend on their position, so a frame that
+/// straddles the reader's buffer, or an in-place encode that misplaces
+/// a byte, shows as a mismatch rather than a length change.
+#[test]
+fn exposed_sender_burst_arrives_in_order_and_intact_on_every_backend() {
+    for_each_backend(|name, t| {
+        let registry = Registry::new();
+        t.attach(registry.clone());
+        t.host_joined(NodeId(0), None);
+        t.host_joined(NodeId(1), None);
+        let peer = Vmid {
+            host: HostId(1),
+            pid: 0,
+        };
+        let peer_post = register_inbox(&registry, peer);
+        // The handle's home is node 0; node 1 learns it from a grant.
+        let (home_tx, home_post) = Post::<Incoming>::channel(LinkModel::INSTANT, TimeScale::ZERO);
+        let grant = Incoming::Ctrl(Ctrl::ConnGrant {
+            req_id: 1,
+            peer_rank: 0,
+            peer_vmid: Vmid {
+                host: HostId(0),
+                pid: 0,
+            },
+            data_to_granter: home_tx,
+        });
+        t.send_to(NodeId(0), peer, grant, 64, FrameClass::Control)
+            .unwrap_or_else(|e| panic!("{name}: grant failed: {e}"));
+        let exposed = match recv_within(&peer_post, Duration::from_secs(10)) {
+            Some(Incoming::Ctrl(Ctrl::ConnGrant {
+                data_to_granter, ..
+            })) => data_to_granter,
+            other => panic!("{name}: expected the grant, got {other:?}"),
+        };
+        if name == "tcp" {
+            assert_eq!(
+                exposed.remote_addr().map(|(home, _)| home),
+                Some(0),
+                "{name}: the handle must be virtualized"
+            );
+        }
+        // 16 B bodies with a 512 KiB one every 50 frames: the large
+        // bodies outgrow both the writer's flush threshold and the
+        // reader's buffer (64 KiB each).
+        let body = |seq: u64| -> Vec<u8> {
+            let len = if seq % 50 == 25 { 512 * 1024 } else { 16 };
+            (0..len)
+                .map(|i| (seq as usize * 131 + i * 7) as u8)
+                .collect()
+        };
+        const N: u64 = 400;
+        for seq in 0..N {
+            let env = Envelope {
+                src: 1,
+                tag: 1,
+                msg: MsgId(seq),
+                payload: Payload::Data(Bytes::from(body(seq))),
+            };
+            let bytes = env.wire_bytes();
+            exposed
+                .send_classed(Incoming::Data(env), bytes, FrameClass::Data)
+                .unwrap_or_else(|e| panic!("{name}: send {seq} failed: {e}"));
+        }
+        for expect in 0..N {
+            match recv_within(&home_post, Duration::from_secs(10)) {
+                Some(Incoming::Data(Envelope {
+                    msg,
+                    payload: Payload::Data(got),
+                    ..
+                })) => {
+                    assert_eq!(msg, MsgId(expect), "{name}: burst reordered");
+                    assert!(
+                        got[..] == body(expect)[..],
+                        "{name}: body {expect} corrupted"
+                    );
+                }
+                other => panic!("{name}: lost message {expect}: {other:?}"),
+            }
+        }
+    });
+}
+
 /// A message claiming more than one frame can carry is rejected with
 /// the typed error at the sending call on every backend — never
 /// truncated, wrapped, or left to kill the connection receiver-side.

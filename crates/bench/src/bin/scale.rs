@@ -22,10 +22,9 @@
 //!   cargo run -p snow-bench --bin scale -- --gate BENCH_run.json --baseline BENCH_scale.json
 
 use snow_bench::scale::{
-    emit_document, gate_document, run_flood, run_migration_under_load, validate_document,
+    emit_document, gate_document, read_doc, run_flood, run_migration_under_load, validate_document,
     FloodConfig, GateTolerances, MigrationLoadConfig, ScaleRecord, TransportKind,
 };
-use snow_trace::report::JsonValue;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -36,12 +35,6 @@ fn usage() -> ! {
          \x20      [--gate FILE --baseline FILE [--min-throughput-ratio R] [--max-latency-ratio R]]"
     );
     std::process::exit(2);
-}
-
-fn read_doc(path: &PathBuf) -> Result<JsonValue, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    JsonValue::parse(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))
 }
 
 fn main() -> ExitCode {

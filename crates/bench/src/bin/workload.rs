@@ -23,12 +23,11 @@
 //!   cargo run -p snow-bench --bin workload -- --validate BENCH_workload.json
 //!   cargo run -p snow-bench --bin workload -- --gate BENCH_run.json --baseline BENCH_workload.json
 
-use snow_bench::scale::{GateTolerances, TransportKind};
+use snow_bench::scale::{read_doc, GateTolerances, TransportKind};
 use snow_bench::workload::{
     emit_document, gate_document, run_ablation, run_workload, validate_document, AblationConfig,
     SoakConfig, WorkloadRecord,
 };
-use snow_trace::report::JsonValue;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -40,12 +39,6 @@ fn usage() -> ! {
          \x20      [--gate FILE --baseline FILE [--min-throughput-ratio R] [--max-latency-ratio R]]"
     );
     std::process::exit(2);
-}
-
-fn read_doc(path: &PathBuf) -> Result<JsonValue, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    JsonValue::parse(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))
 }
 
 fn main() -> ExitCode {

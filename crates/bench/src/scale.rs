@@ -39,6 +39,7 @@ use snow_trace::{audit, EventKind, Tracer};
 use snow_vm::vm::{ProcAddr, Registry};
 use snow_vm::wire::{Envelope, ExeStatus, Incoming, Payload, ENVELOPE_OVERHEAD_BYTES};
 use snow_vm::{HostId, HostSpec, NodeId, Post, TcpTransport, Transport, Vmid};
+use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -311,8 +312,16 @@ impl Default for GateTolerances {
 
 /// Latencies below this floor (microseconds) are never gated: at
 /// single-digit-µs baselines a ratio check only measures scheduler
-/// jitter.
-const GATE_LATENCY_FLOOR_US: f64 = 50.0;
+/// jitter. Shared by the scale and workload gates.
+pub(crate) const GATE_LATENCY_FLOOR_US: f64 = 50.0;
+
+/// Read and parse a bench document (a run, a baseline, or a file to
+/// validate).
+pub fn read_doc(path: &Path) -> Result<JsonValue, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    JsonValue::parse(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))
+}
 
 fn gate_key(rec: &JsonValue) -> Option<(String, String, u64)> {
     let scenario = rec.get("scenario")?.as_str()?.to_string();
@@ -450,7 +459,8 @@ impl FloodConfig {
     }
 }
 
-fn default_workers() -> usize {
+/// Pool workers for the cooperative drivers: half the cores, 2–8.
+pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get() / 2)
         .unwrap_or(4)

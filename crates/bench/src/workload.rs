@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::hist::LatencyHistogram;
-use crate::scale::TransportKind;
+use crate::scale::{default_workers, TransportKind, GATE_LATENCY_FLOOR_US};
 
 /// Schema tag stamped into every emitted document.
 pub const SCHEMA: &str = "snow-bench-workload/v1";
@@ -330,13 +330,6 @@ impl SoakConfig {
             self.migrations
         )
     }
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get() / 2)
-        .unwrap_or(4)
-        .clamp(2, 8)
 }
 
 /// Phase indices for the live classifier.
@@ -1346,10 +1339,6 @@ pub fn validate_document(doc: &JsonValue) -> Result<(), String> {
     }
     Ok(())
 }
-
-/// Latencies below this floor (µs) are never gated: single-digit-µs
-/// baselines only measure scheduler jitter.
-const GATE_LATENCY_FLOOR_US: f64 = 50.0;
 
 /// Gate a fresh `BENCH_workload.json` against the committed baseline:
 /// for every `(transport, ranks)` pair in both documents, throughput

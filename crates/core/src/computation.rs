@@ -77,8 +77,7 @@ impl ComputationBuilder {
     }
 
     /// Override the chunked state-transfer configuration every process
-    /// uses when migrating ([`PipelineConfig::monolithic`] restores the
-    /// single-frame transfer the paper measures).
+    /// uses when migrating.
     pub fn pipeline(mut self, cfg: PipelineConfig) -> Self {
         self.pipeline = cfg;
         self

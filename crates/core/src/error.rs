@@ -22,8 +22,7 @@ pub enum ProtoError {
     /// failure model, reported rather than hanging).
     Watchdog(&'static str),
     /// A peer violated the transfer protocol: malformed connection
-    /// grant, duplicate RML batch, or a monolithic state frame after a
-    /// chunk stream.
+    /// grant or duplicate RML batch.
     Protocol(&'static str),
     /// The migration this process was the destination of was aborted by
     /// the source or the scheduler before commit; the initialized

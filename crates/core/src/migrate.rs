@@ -30,7 +30,8 @@ use crate::process::{scaled_watchdog, Event, SnowProcess, CONN_RESEND, TICK};
 use bytes::Bytes;
 use snow_net::FrameClass;
 use snow_state::{
-    ChunkedRestorer, PipelineConfig, ProcessState, RestoreTeardown, StateCostModel, StateError,
+    ChunkedRestorer, PipelineConfig, PipelineSchedule, ProcessState, RestoreTeardown,
+    StateCostModel, StateError,
 };
 use snow_trace::{metrics::MigrationMetrics, metrics::MigrationVerdict, EventKind};
 use snow_vm::wire::{SchedReply, SchedRequest};
@@ -57,12 +58,11 @@ pub struct MigrationTimings {
     pub restore_modeled_s: f64,
     /// Modeled seconds for the overlapped collect→tx→restore pipeline:
     /// the makespan of the chunk schedule rather than the sum of its
-    /// stages. For a monolithic transfer this equals
-    /// `collect + tx + restore`.
+    /// stages.
     pub pipelined_modeled_s: f64,
-    /// Chunks the state was streamed as (1 for a monolithic transfer).
+    /// Chunks the state was streamed as, the header chunk included.
     pub chunks: usize,
-    /// Encoder workers used (0 = monolithic path).
+    /// Encoder workers the chunk schedule used.
     pub workers: usize,
     /// Canonical state size in bytes.
     pub state_bytes: usize,
@@ -499,136 +499,79 @@ impl SnowProcess {
             .unwrap_or(1.0);
         let link = self.cell.shared().path(self.cell.vmid().host, target.host);
 
-        if self.pipeline.is_monolithic() {
-            // Serial path: collect everything, then ship one frame —
-            // each stage strictly after the previous, as the paper
-            // measures it.
-            let mut bytes = state.collect();
-            if self.corrupt_chunk.take().is_some() {
-                // Failure injection: flip one body byte so the
-                // destination's checksum verification rejects the image.
-                if let Some(b) = bytes.last_mut() {
-                    *b ^= 0xff;
-                }
+        // Partition the state into chunks, encode them on a worker pool,
+        // ship each chunk as its own frame. Encoding of chunk i+1
+        // overlaps transmission of chunk i, and the destination restores
+        // chunks as they arrive. The schedule tracks each chunk through
+        // the encoders, the FIFO wire and the destination's restorer:
+        // its makespan is the pipelined cost, its stage sums the serial
+        // (Table 2) costs.
+        let cost = self.cost;
+        let scale = self.cell.time_scale();
+        let mut corrupt = self.corrupt_chunk.take();
+        let mut schedule = PipelineSchedule::new(self.pipeline.workers);
+        let t0 = Instant::now();
+        let summary = snow_state::stream_chunks(state, &self.pipeline, |chunk| {
+            let chunk_len = chunk.bytes.len();
+            let encoded = schedule.encode(cost.collect_seconds(chunk_len, speed));
+            // Nap to this chunk's modeled encode-completion before
+            // handing it to the wire, so the link model (which
+            // serialises frames per sender) observes the overlapped
+            // schedule rather than an instantaneous burst.
+            let target = t0 + scale.real(encoded);
+            let now = Instant::now();
+            if target > now {
+                std::thread::sleep(target - now);
             }
-            timings.state_bytes = bytes.len();
-            timings.collect_modeled_s = self.cost.collect_seconds(bytes.len(), speed);
-            let nap = self.cell.time_scale().real(timings.collect_modeled_s);
-            if !nap.is_zero() {
-                std::thread::sleep(nap);
+            // Failure injection: misdeclare one chunk's checksum so the
+            // destination's per-chunk verification rejects it.
+            let mut checksum = chunk.checksum;
+            if corrupt == Some(chunk.seq) {
+                corrupt = None;
+                checksum ^= 1;
             }
-            self.trace_mig(EventKind::StateCollected { bytes: bytes.len() });
-
-            timings.tx_modeled_s = link.transfer_seconds(bytes.len());
-            timings.restore_modeled_s = self.cost.restore_seconds(bytes.len(), dest_speed);
-            timings.pipelined_modeled_s =
-                timings.collect_modeled_s + timings.tx_modeled_s + timings.restore_modeled_s;
-            timings.chunks = 1;
-            self.post_ctrl(
-                &state_tx,
-                Payload::ExeMemState(Bytes::from(bytes)),
-                FrameClass::Data,
-            )
-            .map_err(|_| "transfer channel closed sending the state frame".to_string())?;
-            self.trace_mig(EventKind::StateTransmitted {
-                bytes: timings.state_bytes,
-            });
-        } else {
-            // Pipelined path: partition the state into chunks, encode on
-            // a worker pool, ship each chunk as its own frame. Encoding
-            // of chunk i+1 overlaps transmission of chunk i, and the
-            // destination restores chunks as they arrive. The modeled
-            // schedule tracks each chunk through `workers` encoders, the
-            // FIFO wire, and the destination's restorer; its makespan is
-            // the pipelined cost, while the plain sums remain the serial
-            // (Table 2) stage costs.
-            let cfg = self.pipeline.clone();
-            let workers = cfg.workers.max(1);
-            let mut corrupt = self.corrupt_chunk.take();
-            let this = &*self;
-            let cost = self.cost;
-            let scale = this.cell.time_scale();
-            let t0 = Instant::now();
-            let mut worker_free = vec![0.0f64; workers];
-            let mut wire_free = 0.0f64;
-            let mut restore_free = 0.0f64;
-            let mut collect_serial = 0.0f64;
-            let mut tx_serial = 0.0f64;
-            let mut restore_serial = 0.0f64;
-            let summary = snow_state::stream_chunks(state, &cfg, |chunk| {
-                let chunk_len = chunk.bytes.len();
-                let c_s = cost.collect_seconds(chunk_len, speed);
-                collect_serial += c_s;
-                let w = (0..workers)
-                    .min_by(|a, b| worker_free[*a].total_cmp(&worker_free[*b]))
-                    .expect("at least one worker");
-                worker_free[w] += c_s;
-                let done_collect = worker_free[w];
-                // Nap to this chunk's modeled encode-completion before
-                // handing it to the wire, so the link model (which
-                // serialises frames per sender) observes the overlapped
-                // schedule rather than an instantaneous burst.
-                let target = t0 + scale.real(done_collect);
-                let now = Instant::now();
-                if target > now {
-                    std::thread::sleep(target - now);
-                }
-                // Failure injection: misdeclare one chunk's checksum so
-                // the destination's per-chunk verification rejects it.
-                let mut checksum = chunk.checksum;
-                if corrupt == Some(chunk.seq) {
-                    corrupt = None;
-                    checksum ^= 1;
-                }
-                let payload = Payload::ExeMemStateChunk {
-                    seq: chunk.seq,
-                    checksum,
-                    bytes: Bytes::from(chunk.bytes),
-                };
-                let nbytes = this
-                    .post_ctrl(&state_tx, payload, FrameClass::Data)
-                    .map_err(|_| "transfer channel closed mid chunk stream".to_string())?;
-                let tx_s = link.transfer_seconds(nbytes);
-                tx_serial += tx_s;
-                wire_free = done_collect.max(wire_free) + tx_s;
-                let r_s = cost.restore_seconds(chunk_len, dest_speed);
-                restore_serial += r_s;
-                restore_free = wire_free.max(restore_free) + r_s;
-                this.cell.trace(EventKind::StateChunkSent {
-                    seq: chunk.seq,
-                    bytes: chunk_len,
-                });
-                Ok::<(), String>(())
-            })?;
-
-            // Close the stream: the digest frame the destination must
-            // reproduce before committing to the restored state.
-            let digest = Payload::ExeMemStateDigest {
-                digest: summary.digest,
-                chunks: summary.chunks,
-                total_bytes: summary.total_bytes as u64,
+            let payload = Payload::ExeMemStateChunk {
+                seq: chunk.seq,
+                checksum,
+                bytes: Bytes::from(chunk.bytes),
             };
-            let nbytes = this
-                .post_ctrl(&state_tx, digest, FrameClass::Data)
-                .map_err(|_| "transfer channel closed sending the digest frame".to_string())?;
-            let digest_tx_s = link.transfer_seconds(nbytes);
-            tx_serial += digest_tx_s;
-            wire_free += digest_tx_s;
+            let nbytes = self
+                .post_ctrl(&state_tx, payload, FrameClass::Data)
+                .map_err(|_| "transfer channel closed mid chunk stream".to_string())?;
+            schedule.ship(link.transfer_seconds(nbytes));
+            schedule.restore(cost.restore_seconds(chunk_len, dest_speed));
+            self.cell.trace(EventKind::StateChunkSent {
+                seq: chunk.seq,
+                bytes: chunk_len,
+            });
+            Ok::<(), String>(())
+        })?;
 
-            timings.state_bytes = summary.total_bytes;
-            timings.collect_modeled_s = collect_serial;
-            timings.tx_modeled_s = tx_serial;
-            timings.restore_modeled_s = restore_serial;
-            timings.pipelined_modeled_s = wire_free.max(restore_free);
-            timings.chunks = summary.chunks as usize;
-            timings.workers = cfg.workers;
-            self.trace_mig(EventKind::StateCollected {
-                bytes: summary.total_bytes,
-            });
-            self.trace_mig(EventKind::StateTransmitted {
-                bytes: summary.total_bytes,
-            });
-        }
+        // Close the stream: the digest frame the destination must
+        // reproduce before committing to the restored state.
+        let digest = Payload::ExeMemStateDigest {
+            digest: summary.digest,
+            chunks: summary.chunks,
+            total_bytes: summary.total_bytes as u64,
+        };
+        let nbytes = self
+            .post_ctrl(&state_tx, digest, FrameClass::Data)
+            .map_err(|_| "transfer channel closed sending the digest frame".to_string())?;
+        schedule.ship(link.transfer_seconds(nbytes));
+
+        timings.state_bytes = summary.total_bytes;
+        timings.collect_modeled_s = schedule.collect_s;
+        timings.tx_modeled_s = schedule.tx_s;
+        timings.restore_modeled_s = schedule.restore_s;
+        timings.pipelined_modeled_s = schedule.makespan();
+        timings.chunks = summary.chunks as usize;
+        timings.workers = schedule.workers();
+        self.trace_mig(EventKind::StateCollected {
+            bytes: summary.total_bytes,
+        });
+        self.trace_mig(EventKind::StateTransmitted {
+            bytes: summary.total_bytes,
+        });
 
         // Phase-1 close: the destination verifies before we are allowed
         // to disappear.
@@ -902,18 +845,16 @@ fn abort_initialize(
 /// RML and the exe+mem state, completes the scheduler handshake, and
 /// restores the state.
 ///
-/// The state arrives either as one monolithic `ExeMemState` frame
-/// (restored after the commit handshake, as in the paper) or as a
-/// pipelined `ExeMemStateChunk` stream, where each chunk is verified and
-/// decoded as it arrives — restore overlaps the remaining transmission —
-/// and the closing digest frame must match before the state is trusted.
-/// Either way the image is verified *before* the commit handshake and
-/// acknowledged to the source with a [`Payload::StateAck`]; a rejected
-/// image (or a protocol violation: duplicate RML batch, monolithic
-/// frame after a chunk stream) sends a negative ack, returns any peer
-/// deposits to the source, and errors out. A
-/// [`SchedReply::MigrationAborted`] reap order from the scheduler makes
-/// the process stand down with [`ProtoError::MigrationAborted`].
+/// The state arrives as an `ExeMemStateChunk` stream: each chunk is
+/// verified and decoded as it arrives — restore overlaps the remaining
+/// transmission — and the closing digest frame must match before the
+/// state is trusted. The image is thus verified and decoded *before* the
+/// commit handshake and acknowledged to the source with a
+/// [`Payload::StateAck`]; a rejected image (or a duplicate RML batch)
+/// sends a negative ack, returns any peer deposits to the source, and
+/// errors out. A [`SchedReply::MigrationAborted`] reap order from the
+/// scheduler makes the process stand down with
+/// [`ProtoError::MigrationAborted`].
 ///
 /// Returns the resumed [`SnowProcess`] (with the merged RML and the
 /// authoritative PL table), the restored [`ProcessState`], and the
@@ -930,14 +871,13 @@ pub fn initialize(
     // Line 1: all conn_req accepted from here on — `classify` grants by
     // default.
     let mut forwarded_rml: Option<Vec<Envelope>> = None;
-    let mut mono_bytes: Option<Bytes> = None;
     let mut restorer: Option<ChunkedRestorer> = None;
-    let mut restored: Option<(ProcessState, usize)> = None;
     let mut restore_modeled_s = 0.0f64;
     // Lines 2–4: receive the RML, buffering and granting meanwhile, then
     // the exe+mem state (FIFO on the transfer channel guarantees the RML
-    // arrives first, and that chunks arrive in sequence).
-    while mono_bytes.is_none() && restored.is_none() {
+    // arrives first, and that chunks arrive in sequence). The loop ends
+    // on a verified digest.
+    let (state, state_len) = loop {
         match p.wait_event("initialize")? {
             Event::StateBatch(batch) => {
                 if forwarded_rml.is_some() {
@@ -951,33 +891,6 @@ pub fn initialize(
                     ));
                 }
                 forwarded_rml = Some(batch);
-            }
-            Event::State(bytes) => {
-                if restorer.is_some() {
-                    let t = restorer.take().map(ChunkedRestorer::abort);
-                    return Err(abort_initialize(
-                        p,
-                        rank,
-                        t,
-                        "monolithic state frame after a chunk stream".to_string(),
-                        ProtoError::Protocol("monolithic state frame after a chunk stream"),
-                    ));
-                }
-                // Verify before the commit handshake: a corrupted image
-                // must abort the migration, not commit it. (The actual
-                // decode still runs after commit, as the paper orders
-                // it.)
-                if let Err(e) = ProcessState::verify(&bytes) {
-                    let detail = format!("monolithic state rejected: {e}");
-                    return Err(abort_initialize(
-                        p,
-                        rank,
-                        None,
-                        detail,
-                        ProtoError::State(e),
-                    ));
-                }
-                mono_bytes = Some(bytes);
             }
             Event::StateChunk {
                 seq,
@@ -1030,7 +943,7 @@ pub fn initialize(
                     nodes_decoded: r.nodes_decoded(),
                 };
                 match r.finish(digest, chunks, total_bytes) {
-                    Ok(state) => restored = Some((state, total_bytes as usize)),
+                    Ok(state) => break (state, total_bytes as usize),
                     Err(e) => {
                         let detail = format!("state digest rejected: {e}");
                         return Err(abort_initialize(
@@ -1059,7 +972,7 @@ pub fn initialize(
             }
             _ => continue,
         }
-    }
+    };
     // Line 3: insert the forwarded list *in front of* locally received
     // messages.
     p.rml.prepend_batch(forwarded_rml.unwrap_or_default());
@@ -1106,22 +1019,8 @@ pub fn initialize(
     // Line 7: migration_commit.
     p.cell.sched_send(SchedRequest::MigrationCommit { rank })?;
 
-    // Line 8: restore the process state (cost modeled by host speed).
-    // The chunked path already decoded and napped incrementally while
-    // the stream was in flight; the monolithic path restores here.
-    let (state, state_len) = match (mono_bytes, restored) {
-        (Some(bytes), _) => {
-            let state = ProcessState::restore(&bytes)?;
-            restore_modeled_s = cost.restore_seconds(bytes.len(), speed);
-            let nap = p.cell.time_scale().real(restore_modeled_s);
-            if !nap.is_zero() {
-                std::thread::sleep(nap);
-            }
-            (state, bytes.len())
-        }
-        (None, Some((state, len))) => (state, len),
-        (None, None) => unreachable!("loop exits only with state"),
-    };
+    // Line 8: the state is restored — decoded and napped chunk by chunk
+    // while the stream was in flight.
     p.cell.trace(EventKind::StateRestored { bytes: state_len });
     Ok((p, state, restore_modeled_s))
 }

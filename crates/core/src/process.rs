@@ -88,11 +88,7 @@ pub(crate) enum Event {
     EndOfMessages(Rank),
     /// The forwarded received-message-list (initialization only).
     StateBatch(Vec<Envelope>),
-    /// The canonical exe+mem state as one monolithic frame
-    /// (initialization only).
-    State(Bytes),
-    /// One chunk of a pipelined exe+mem state stream (initialization
-    /// only).
+    /// One chunk of the exe+mem state stream (initialization only).
     StateChunk {
         /// Position in the stream (0 = header chunk).
         seq: u32,
@@ -101,8 +97,8 @@ pub(crate) enum Event {
         /// The chunk's slice of the canonical state body.
         bytes: Bytes,
     },
-    /// The digest frame closing a pipelined state stream
-    /// (initialization only).
+    /// The digest frame closing the state stream (initialization
+    /// only).
     StateDigest {
         /// Whole-body XXH64.
         digest: u64,
@@ -334,7 +330,6 @@ impl SnowProcess {
                     Event::EndOfMessages(env.src)
                 }
                 Payload::RmlBatch(batch) => Event::StateBatch(batch),
-                Payload::ExeMemState(bytes) => Event::State(bytes),
                 Payload::ExeMemStateChunk {
                     seq,
                     checksum,

@@ -127,64 +127,6 @@ impl Directory for IndexedDirectory {
     }
 }
 
-/// A two-level hierarchical directory: ranks are hashed into `fan`
-/// *domains*, each holding its own table — the shape of the DNS/LDAP-
-/// style deployments §2 suggests for multi-domain environments. Lookup
-/// cost is one domain hop plus one leaf access; the counters make that
-/// observable for scalability experiments.
-#[derive(Debug, Default)]
-pub struct TwoLevelDirectory {
-    domains: Vec<CentralTable>,
-    /// Accesses that touched the domain level.
-    pub domain_hops: std::cell::Cell<u64>,
-    /// Accesses that touched a leaf table.
-    pub leaf_hits: std::cell::Cell<u64>,
-}
-
-impl TwoLevelDirectory {
-    /// Create a directory with `fan` leaf domains.
-    pub fn new(fan: usize) -> Self {
-        assert!(fan >= 1, "at least one domain");
-        TwoLevelDirectory {
-            domains: vec![CentralTable::new(); fan],
-            domain_hops: std::cell::Cell::new(0),
-            leaf_hits: std::cell::Cell::new(0),
-        }
-    }
-
-    fn domain_of(&self, rank: Rank) -> usize {
-        // Knuth multiplicative hash keeps ranks spread over domains.
-        (rank.wrapping_mul(2654435761) >> 4) % self.domains.len()
-    }
-
-    /// Number of domains.
-    pub fn fan(&self) -> usize {
-        self.domains.len()
-    }
-}
-
-impl Directory for TwoLevelDirectory {
-    fn insert(&mut self, rank: Rank, entry: PlEntry) {
-        let d = self.domain_of(rank);
-        self.domain_hops.set(self.domain_hops.get() + 1);
-        self.leaf_hits.set(self.leaf_hits.get() + 1);
-        self.domains[d].insert(rank, entry);
-    }
-
-    fn lookup(&self, rank: Rank) -> Option<PlEntry> {
-        let d = self.domain_of(rank);
-        self.domain_hops.set(self.domain_hops.get() + 1);
-        self.leaf_hits.set(self.leaf_hits.get() + 1);
-        self.domains[d].lookup(rank)
-    }
-
-    fn entries(&self) -> Vec<(Rank, PlEntry)> {
-        let mut all: Vec<(Rank, PlEntry)> = self.domains.iter().flat_map(|d| d.entries()).collect();
-        all.sort_by_key(|(r, _)| *r);
-        all
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,50 +223,5 @@ mod tests {
         assert_eq!(idx.lookup(4), Some(migrated));
         assert_eq!(idx.lookup(3), None, "holes stay empty");
         assert_eq!(idx.lookup(99), None, "out of range is None, not panic");
-    }
-
-    #[test]
-    fn two_level_roundtrip_and_ordering() {
-        let mut d = TwoLevelDirectory::new(4);
-        for r in (0..32).rev() {
-            d.insert(
-                r,
-                PlEntry {
-                    vmid: vmid(0, r as u32),
-                    status: ExeStatus::Running,
-                },
-            );
-        }
-        for r in 0..32 {
-            assert_eq!(d.lookup(r).unwrap().vmid, vmid(0, r as u32));
-        }
-        assert_eq!(d.lookup(99), None);
-        let ranks: Vec<Rank> = d.entries().iter().map(|(r, _)| *r).collect();
-        assert_eq!(ranks, (0..32).collect::<Vec<_>>());
-        assert!(d.domain_hops.get() >= 64, "accesses are counted");
-    }
-
-    #[test]
-    fn two_level_spreads_ranks() {
-        let mut d = TwoLevelDirectory::new(4);
-        for r in 0..64 {
-            d.insert(
-                r,
-                PlEntry {
-                    vmid: vmid(0, r as u32),
-                    status: ExeStatus::Running,
-                },
-            );
-        }
-        // Every domain should have received some ranks.
-        let per_domain: Vec<usize> = d.domains.iter().map(|t| t.len()).collect();
-        assert!(per_domain.iter().all(|&n| n > 0), "{per_domain:?}");
-        assert_eq!(per_domain.iter().sum::<usize>(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one domain")]
-    fn zero_fan_rejected() {
-        let _ = TwoLevelDirectory::new(0);
     }
 }

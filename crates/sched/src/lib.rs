@@ -34,7 +34,6 @@ pub mod records;
 pub mod scheduler;
 
 pub use client::{DrainReport, SchedClient};
-pub use directory::TwoLevelDirectory;
 pub use directory::{CentralTable, Directory, IndexedDirectory, PlEntry};
 pub use records::{MigrationPhase, MigrationRecord};
 pub use scheduler::{

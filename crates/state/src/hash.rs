@@ -1,6 +1,6 @@
 //! XXH64, the integrity hash of the migrating state.
 //!
-//! Every check on the exe+mem state uses it with seed 0: the monolithic
+//! Every check on the exe+mem state uses it with seed 0: the whole
 //! snapshot checksum ([`crate::ProcessState::collect`]), each chunk's
 //! checksum and the whole-stream digest of the pipelined transfer
 //! ([`crate::pipeline`]). It catches transport corruption, not an
@@ -33,7 +33,7 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
 /// Streaming XXH64: feeding a byte stream in any split gives the same
 /// digest as [`xxh64`] over the whole stream. The chunked state transfer
 /// folds its chunks through one of these so the stream digest equals the
-/// monolithic checksum.
+/// checksum [`crate::ProcessState::collect`] stores.
 #[derive(Debug)]
 pub struct Xxh64 {
     seed: u64,

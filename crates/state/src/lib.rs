@@ -18,7 +18,8 @@
 //!   canonical node indices so they can be re-materialised at different
 //!   addresses on the destination machine.
 //! * [`snapshot`] — [`snapshot::ProcessState`]: exec + memory bundled
-//!   with an integrity checksum; this is the `ExeMemState` payload.
+//!   with an integrity checksum; a migration ships its canonical body
+//!   as a [`pipeline`] chunk stream.
 //! * [`hash`] — XXH64, the one integrity hash every check on the
 //!   migrating state uses.
 //! * [`cost`] — the collect/transfer/restore cost model calibrated from
@@ -43,6 +44,6 @@ pub use hash::{xxh64, Xxh64};
 pub use memory::{MemoryGraph, NodeId};
 pub use pipeline::{
     collect_chunks, pipelined_makespan, stream_chunks, ChunkStreamSummary, ChunkedRestorer,
-    PipelineConfig, RestoreTeardown, StateChunk,
+    PipelineConfig, PipelineSchedule, RestoreTeardown, StateChunk,
 };
 pub use snapshot::{fnv1a, fnv1a_with_seed, ProcessState, StateError, FNV_OFFSET};

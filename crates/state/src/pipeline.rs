@@ -1,10 +1,9 @@
 //! Pipelined, chunked exe+mem state transfer.
 //!
-//! The monolithic path ([`ProcessState::collect`]) encodes the whole
-//! state, then ships it as one frame: collect, transmit and restore run
-//! strictly one after another, which is exactly the serial sum the
-//! paper's Table 2 charges (Collect + Tx + Restore). This module
-//! overlaps the three stages:
+//! The paper ships the whole collected state as one frame: collect,
+//! transmit and restore run strictly one after another, which is
+//! exactly the serial sum its Table 2 charges (Collect + Tx + Restore).
+//! This module overlaps the three stages:
 //!
 //! * the memory graph is partitioned into size-bounded *chunks* of whole
 //!   nodes ([`plan_chunks`]);
@@ -15,10 +14,10 @@
 //! * the destination feeds frames to a [`ChunkedRestorer`] that verifies
 //!   and decodes incrementally, overlapping restore with transmission.
 //!
-//! The byte stream is *identical* to the monolithic canonical body: the
+//! The byte stream is *identical* to the canonical body: the
 //! concatenation of all chunks equals [`ProcessState::collect_body`],
-//! and the streamed XXH64 digest equals the checksum a monolithic
-//! [`ProcessState::collect`] would store. Chunk order is deterministic
+//! and the streamed XXH64 digest equals the checksum
+//! [`ProcessState::collect`] stores. Chunk order is deterministic
 //! (planned before encoding starts), so the encoding stays canonical
 //! regardless of worker count or scheduling.
 //!
@@ -31,9 +30,11 @@
 //! and the [`ChunkedRestorer`] pass from 26.5 to 3.4 ms (medians of ten
 //! runs each).
 //!
-//! [`pipelined_makespan`] models the overlapped schedule so migration
-//! timings can report both the old serial-sum cost and the pipelined
-//! cost.
+//! [`PipelineSchedule`] models the overlapped schedule one chunk at a
+//! time, so migration timings report both the serial-sum cost and the
+//! pipelined cost from the stream they actually shipped;
+//! [`pipelined_makespan`] runs the same schedule over given stage
+//! costs.
 
 use crate::hash::{xxh64, Xxh64};
 use crate::snapshot::{ProcessState, StateError};
@@ -47,9 +48,8 @@ pub struct PipelineConfig {
     /// so a single node larger than this becomes its own oversized
     /// chunk. `usize::MAX` puts the entire memory section in one chunk.
     pub chunk_bytes: usize,
-    /// Encoder worker threads. `0` disables the pipeline entirely — the
-    /// migration path falls back to the monolithic single-frame
-    /// transfer.
+    /// Encoder worker threads. `1` streams sequentially without
+    /// threads; `0` counts as `1`.
     pub workers: usize,
     /// Bound on the job and result queues between the planner, the
     /// workers and the sender — limits how far encoding may run ahead of
@@ -67,21 +67,6 @@ impl Default for PipelineConfig {
     }
 }
 
-impl PipelineConfig {
-    /// The monolithic (pre-pipeline) single-frame transfer.
-    pub fn monolithic() -> Self {
-        PipelineConfig {
-            workers: 0,
-            ..PipelineConfig::default()
-        }
-    }
-
-    /// True when the monolithic path should be used instead.
-    pub fn is_monolithic(&self) -> bool {
-        self.workers == 0
-    }
-}
-
 /// One encoded chunk of the canonical state body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateChunk {
@@ -96,7 +81,7 @@ pub struct StateChunk {
 /// What a completed chunk stream adds up to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkStreamSummary {
-    /// Whole-body XXH64 — equals the checksum of the monolithic
+    /// Whole-body XXH64 — equals the checksum of the
     /// [`ProcessState::collect`] encoding of the same state.
     pub digest: u64,
     /// Total body bytes across all chunks.
@@ -518,12 +503,87 @@ pub struct RestoreTeardown {
     pub nodes_decoded: usize,
 }
 
-/// Modeled makespan of the overlapped pipeline, in seconds. Per-chunk
-/// stage costs flow through `workers` parallel encoders, one FIFO wire,
-/// and one restorer; chunk *i*'s transmission starts when both its
-/// encoding and the wire are done, its restore when both its arrival and
-/// the restorer are done. The serial-sum baseline this compares against
-/// is simply `collect_s.sum() + tx_s.sum() + restore_s.sum()`.
+/// The modeled schedule of a chunk stream, advanced one chunk at a
+/// time: [`encode`](Self::encode) the chunk on the least-loaded of
+/// `workers` encoders, [`ship`](Self::ship) it over one FIFO wire once
+/// both its encoding and the wire are done, then
+/// [`restore`](Self::restore) it once both its arrival and the restorer
+/// are done. The stage sums are the serial cost (Table 2's Collect, Tx
+/// and Restore rows); [`makespan`](Self::makespan) is the overlapped
+/// cost.
+#[derive(Debug)]
+pub struct PipelineSchedule {
+    worker_free: Vec<f64>,
+    encoded: f64,
+    wire_free: f64,
+    restore_free: f64,
+    /// Seconds of every encode step so far.
+    pub collect_s: f64,
+    /// Seconds of every ship step so far.
+    pub tx_s: f64,
+    /// Seconds of every restore step so far.
+    pub restore_s: f64,
+}
+
+impl PipelineSchedule {
+    /// An idle schedule over `workers` encoders (`0` counts as `1`, as
+    /// in [`stream_chunks`]).
+    pub fn new(workers: usize) -> Self {
+        PipelineSchedule {
+            worker_free: vec![0.0; workers.max(1)],
+            encoded: 0.0,
+            wire_free: 0.0,
+            restore_free: 0.0,
+            collect_s: 0.0,
+            tx_s: 0.0,
+            restore_s: 0.0,
+        }
+    }
+
+    /// Encoders the schedule models.
+    pub fn workers(&self) -> usize {
+        self.worker_free.len()
+    }
+
+    /// Encode the next chunk for `collect_s` seconds on the least-loaded
+    /// encoder; returns when its encoding completes.
+    pub fn encode(&mut self, collect_s: f64) -> f64 {
+        let free = &mut self.worker_free;
+        let w = (0..free.len())
+            .min_by(|a, b| free[*a].total_cmp(&free[*b]))
+            .expect("at least one worker");
+        free[w] += collect_s;
+        self.collect_s += collect_s;
+        self.encoded = free[w];
+        self.encoded
+    }
+
+    /// Ship a frame for `tx_s` seconds, once the last encoded chunk is
+    /// ready and the wire is free. A frame shipped without an encode
+    /// step of its own (the closing digest) follows the last chunk.
+    pub fn ship(&mut self, tx_s: f64) {
+        self.wire_free = self.encoded.max(self.wire_free) + tx_s;
+        self.tx_s += tx_s;
+    }
+
+    /// Restore the last shipped frame for `restore_s` seconds, once it
+    /// has arrived and the restorer is free.
+    pub fn restore(&mut self, restore_s: f64) {
+        self.restore_free = self.wire_free.max(self.restore_free) + restore_s;
+        self.restore_s += restore_s;
+    }
+
+    /// When the last shipped frame has arrived and the last restore
+    /// step has finished.
+    pub fn makespan(&self) -> f64 {
+        self.wire_free.max(self.restore_free)
+    }
+}
+
+/// Modeled makespan of the overlapped pipeline, in seconds: the
+/// [`PipelineSchedule`] over per-chunk stage costs. The serial-sum
+/// baseline this compares against is simply
+/// `collect_s.sum() + tx_s.sum() + restore_s.sum()`.
 pub fn pipelined_makespan(
     collect_s: &[f64],
     tx_s: &[f64],
@@ -532,21 +592,13 @@ pub fn pipelined_makespan(
 ) -> f64 {
     assert_eq!(collect_s.len(), tx_s.len());
     assert_eq!(collect_s.len(), restore_s.len());
-    let workers = workers.max(1);
-    let mut worker_free = vec![0.0f64; workers];
-    let mut wire_free = 0.0f64;
-    let mut restore_free = 0.0f64;
-    for i in 0..collect_s.len() {
-        let w = (0..workers)
-            .min_by(|a, b| worker_free[*a].total_cmp(&worker_free[*b]))
-            .unwrap();
-        let encoded = worker_free[w] + collect_s[i];
-        worker_free[w] = encoded;
-        // FIFO wire: chunks transmit in sequence order.
-        wire_free = encoded.max(wire_free) + tx_s[i];
-        restore_free = wire_free.max(restore_free) + restore_s[i];
+    let mut schedule = PipelineSchedule::new(workers);
+    for ((&c, &t), &r) in collect_s.iter().zip(tx_s).zip(restore_s) {
+        schedule.encode(c);
+        schedule.ship(t);
+        schedule.restore(r);
     }
-    restore_free
+    schedule.makespan()
 }
 
 #[cfg(test)]
@@ -794,6 +846,24 @@ mod tests {
         // tx-bound lower bound, not just nibble at the serial sum.
         let tx_total: f64 = tx.iter().sum();
         assert!(pipelined < tx_total + collect[0] + restore.iter().sum::<f64>());
+    }
+
+    #[test]
+    fn trailing_frame_ships_after_the_last_chunk() {
+        let mut s = PipelineSchedule::new(0);
+        assert_eq!(s.workers(), 1, "0 workers count as 1");
+        assert_eq!(s.encode(1.0), 1.0);
+        s.ship(2.0);
+        s.restore(0.5);
+        assert_eq!(s.encode(1.0), 2.0, "one encoder: back to back");
+        s.ship(2.0);
+        s.restore(0.5);
+        assert_eq!(s.makespan(), 5.5);
+        // The digest frame has no encode step: it queues behind the
+        // last chunk on the wire, and the wire now ends the schedule.
+        s.ship(1.0);
+        assert_eq!(s.makespan(), 6.0);
+        assert_eq!((s.collect_s, s.tx_s, s.restore_s), (2.0, 5.0, 1.0));
     }
 
     #[test]

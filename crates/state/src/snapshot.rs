@@ -109,8 +109,9 @@ pub fn fnv1a_with_seed(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// A process's execution + memory state: the opaque payload of the
-/// `ExeMemState` envelope (Fig 5 line 10 → Fig 7 line 4).
+/// A process's execution + memory state: what a migration collects,
+/// streams as [`crate::pipeline`] chunks and restores (Fig 5 line 10 →
+/// Fig 7 line 4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessState {
     /// Where to resume.
@@ -171,11 +172,9 @@ impl ProcessState {
         })
     }
 
-    /// Check the integrity checksum of collected bytes without decoding
-    /// the body. The destination of a monolithic transfer acks on this
-    /// before the commit handshake; the full decode still happens after
-    /// commit, as in the paper.
-    pub fn verify(bytes: &[u8]) -> Result<(), StateError> {
+    /// Check the integrity checksum of collected bytes before
+    /// [`ProcessState::restore`] decodes the body.
+    fn verify(bytes: &[u8]) -> Result<(), StateError> {
         let mut r = WireReader::new(bytes);
         let expected = r.get_u64()?;
         let body = r.get_raw(r.remaining())?;

@@ -51,9 +51,10 @@ fn arb_exec() -> impl Strategy<Value = ExecState> {
 }
 
 /// Chunk size 1 B (one node per chunk), a mid-size bound, and "whole
-/// state in one chunk" — crossed with 1 and 4 workers.
+/// state in one chunk" — crossed with 0 (which counts as 1), 1 and 4
+/// workers.
 const CHUNK_SIZES: [usize; 3] = [1, 4096, usize::MAX];
-const WORKER_COUNTS: [usize; 2] = [1, 4];
+const WORKER_COUNTS: [usize; 3] = [0, 1, 4];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

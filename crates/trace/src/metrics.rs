@@ -56,7 +56,7 @@ pub struct MigrationMetrics {
     pub wall_s: f64,
     /// Canonical state size in bytes.
     pub state_bytes: usize,
-    /// Chunks the state was streamed as (1 = monolithic).
+    /// Chunks the state was streamed as, the header chunk included.
     pub chunks: usize,
     /// In-transit messages captured and forwarded with the transfer.
     pub rml_forwarded: usize,

@@ -84,10 +84,6 @@ fn put_payload(w: &mut WireWriter, v: &dyn SenderVault, p: &Payload) {
                 put_envelope(w, v, e);
             }
         }
-        Payload::ExeMemState(b) => {
-            w.put_u8(4);
-            w.put_bytes(b);
-        }
         Payload::ExeMemStateChunk {
             seq,
             checksum,
@@ -131,7 +127,7 @@ fn get_payload(r: &mut WireReader, v: &dyn SenderVault) -> Result<Payload> {
             }
             Payload::RmlBatch(list)
         }
-        4 => Payload::ExeMemState(Bytes::copy_from_slice(r.get_bytes()?)),
+        // 4 stays unassigned (a retired kind), so 5-8 keep their bytes.
         5 => Payload::ExeMemStateChunk {
             seq: r.get_u32()?,
             checksum: r.get_u64()?,
@@ -971,6 +967,29 @@ mod tests {
         });
         bytes.push(0);
         assert!(decode_incoming(&v, &bytes).is_err());
+    }
+
+    #[test]
+    fn unknown_payload_tag_is_bad_tag() {
+        let v = MapVault::default();
+        let marker = Incoming::Data(Envelope {
+            src: 0,
+            tag: 0,
+            msg: MsgId(1),
+            payload: Payload::PeerMigrating,
+        });
+        // The payload tag is the envelope's last byte. Tag 4 gets a body
+        // shaped like the retired single-frame state, so only the tag
+        // can refuse it.
+        for (tag, body) in [(4u8, &[3u8, 1, 2, 3][..]), (0xff, &[][..])] {
+            let mut bytes = encoded(|w| put_incoming(w, &v, &marker));
+            *bytes.last_mut().unwrap() = tag;
+            bytes.extend_from_slice(body);
+            assert!(
+                matches!(decode_incoming(&v, &bytes), Err(CodecError::BadTag(t)) if t == tag),
+                "payload tag {tag}"
+            );
+        }
     }
 
     #[test]

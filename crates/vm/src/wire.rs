@@ -30,11 +30,8 @@ pub enum Payload {
     /// The migrating process's received-message-list, forwarded to the
     /// initialized process (Fig 5 line 8 / Fig 7 lines 2–3).
     RmlBatch(Vec<Envelope>),
-    /// Canonical execution + memory state as a single frame
-    /// (Fig 5 line 10 / Fig 7 line 4) — the monolithic transfer path.
-    ExeMemState(Bytes),
-    /// One chunk of the canonical exe+mem state stream — the pipelined
-    /// transfer path. Chunks are FIFO on the transfer channel; `seq`
+    /// One chunk of the canonical exe+mem state stream (Fig 5 line 10 /
+    /// Fig 7 line 4). Chunks are FIFO on the transfer channel; `seq`
     /// guards against logic errors, `checksum` against corruption.
     ExeMemStateChunk {
         /// Position in the stream (0 = header chunk).
@@ -81,7 +78,6 @@ impl Payload {
             Payload::Data(b) => b.len(),
             Payload::PeerMigrating | Payload::EndOfMessages => 0,
             Payload::RmlBatch(list) => list.iter().map(Envelope::wire_bytes).sum(),
-            Payload::ExeMemState(b) => b.len(),
             Payload::ExeMemStateChunk { bytes, .. } => bytes.len(),
             // Header-only frames: seq/digest/ack metadata rides in the
             // envelope overhead, like the protocol markers.
@@ -574,7 +570,11 @@ mod tests {
 
     #[test]
     fn state_payload_sized_by_bytes() {
-        let p = Payload::ExeMemState(Bytes::from(vec![0u8; 7_500_000]));
-        assert_eq!(p.body_bytes(), 7_500_000);
+        let p = Payload::ExeMemStateChunk {
+            seq: 3,
+            checksum: 0,
+            bytes: Bytes::from(vec![0u8; 256 * 1024]),
+        };
+        assert_eq!(p.body_bytes(), 256 * 1024);
     }
 }

@@ -103,7 +103,6 @@ fn bench_pipeline(c: &mut Criterion) {
             let cfg = PipelineConfig {
                 chunk_bytes: 256 * 1024,
                 workers,
-                queue_depth: 8,
             };
             g.bench_with_input(
                 BenchmarkId::new(format!("chunked_w{workers}"), bytes),
@@ -147,7 +146,6 @@ mod tests {
         let cfg = PipelineConfig {
             chunk_bytes: 256 * 1024,
             workers: 4,
-            queue_depth: 8,
         };
         let (chunks, _) = collect_chunks(&state, &cfg);
         assert!(chunks.len() >= 8, "want many chunks, got {}", chunks.len());
@@ -202,7 +200,6 @@ mod tests {
             let cfg = PipelineConfig {
                 chunk_bytes: 256 * 1024,
                 workers,
-                queue_depth: 8,
             };
             let (chunks, summary) = collect_chunks(&state, &cfg);
             let concat: Vec<u8> = chunks

@@ -21,8 +21,7 @@ pub enum ProtoError {
     /// indicates a peer died without coordination (outside the paper's
     /// failure model, reported rather than hanging).
     Watchdog(&'static str),
-    /// A peer violated the transfer protocol: malformed connection
-    /// grant or duplicate RML batch.
+    /// A peer violated the transfer protocol (a duplicate RML batch).
     Protocol(&'static str),
     /// The migration this process was the destination of was aborted by
     /// the source or the scheduler before commit; the initialized

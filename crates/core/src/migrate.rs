@@ -26,7 +26,7 @@
 //! [`MigrationOutcome::Aborted`].
 
 use crate::error::ProtoError;
-use crate::process::{scaled_watchdog, Event, SnowProcess, CONN_RESEND, TICK};
+use crate::process::{scaled_watchdog, Event, SnowProcess, TICK};
 use bytes::Bytes;
 use snow_net::FrameClass;
 use snow_state::{
@@ -35,7 +35,7 @@ use snow_state::{
 };
 use snow_trace::{metrics::MigrationMetrics, metrics::MigrationVerdict, EventKind};
 use snow_vm::wire::{SchedReply, SchedRequest};
-use snow_vm::{Envelope, Incoming, Payload, PostSender, ProcessCell, Rank, Signal, Vmid};
+use snow_vm::{Envelope, Payload, ProcessCell, Rank, Signal, Vmid};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -74,11 +74,6 @@ impl MigrationTimings {
     /// Total migration cost with the serial state transfer the paper
     /// measures — Table 2 row "Migrate" (coordinate + collect + tx +
     /// restore, each stage strictly after the previous).
-    pub fn total_s(&self) -> f64 {
-        self.serial_total_s()
-    }
-
-    /// Serial-sum total: what the migration costs without stage overlap.
     pub fn serial_total_s(&self) -> f64 {
         self.coordinate_real_s + self.collect_modeled_s + self.tx_modeled_s + self.restore_modeled_s
     }
@@ -472,10 +467,18 @@ impl SnowProcess {
         timings.reset_attempt();
 
         // Line 8: a direct channel to the initialized process (it
-        // accepts all connection requests, Fig 7 line 1).
-        let state_tx = self
-            .connect_to_vmid(target)
+        // accepts all connection requests, Fig 7 line 1). The directory
+        // names `target` for our rank from `NewVmid` on, so this is the
+        // Fig 3 connect to our own rank, under the shared failure policy.
+        // The channel is the transfer's, not an application connection:
+        // it leaves `cc` at once, as does any an earlier attempt left.
+        self.cc.remove(&self.rank);
+        self.pl.insert(self.rank, target);
+        self.connect(self.rank)
             .map_err(|e| format!("state-transfer connect failed: {e}"))?;
+        let state_tx = self.cc.remove(&self.rank).expect("connect opened it");
+        // The vmid that granted.
+        let target = self.pl[&self.rank];
 
         self.trace_mig(EventKind::RmlForwarded {
             count: batch.len(),
@@ -587,21 +590,11 @@ impl SnowProcess {
         loop {
             match self.next_event(TICK) {
                 Err(e) => return Err(format!("environment failed awaiting state ack: {e}")),
-                Ok(Some(Event::StateAck { ok, from, detail })) => {
-                    if from != target {
-                        continue; // stale ack from an aborted attempt
-                    }
+                Ok(Some(Event::StateAck { ok, from, detail })) if from == target => {
                     if ok {
                         return Ok(());
                     }
                     return Err(format!("destination rejected the state: {detail}"));
-                }
-                Ok(Some(Event::StateBatch(returned))) => {
-                    // A dying destination returned peer deposits; hold
-                    // them in the RML for the retry/abort path.
-                    for env in returned {
-                        self.rml.append(env);
-                    }
                 }
                 Ok(Some(_)) => {}
                 Ok(None) => {
@@ -647,11 +640,6 @@ impl SnowProcess {
                 Event::Sched(SchedReply::Error { reason }) => {
                     return Err(ProtoError::Scheduler(reason))
                 }
-                Event::StateBatch(returned) => {
-                    for env in returned {
-                        self.rml.append(env);
-                    }
-                }
                 _ => continue,
             }
         }
@@ -671,15 +659,11 @@ impl SnowProcess {
         reason: String,
         attempts: u32,
     ) -> AbortedMigration {
-        // Sweep any already-delivered deposit return from the reaped
-        // destination before restoring the batch.
-        while let Ok(Some(ev)) = self.next_event(Duration::ZERO) {
-            if let Event::StateBatch(returned) = ev {
-                for env in returned {
-                    self.rml.append(env);
-                }
-            }
-        }
+        // Fold in any deposit return from the reaped destination that has
+        // already arrived (`classify` files it in the RML while we are
+        // still migrating), then point our own row back at ourselves.
+        let _ = self.pump();
+        self.pl.insert(self.rank, self.cell.vmid());
         batch.extend(self.rml.drain_all());
         let rml_restored = batch.len();
         self.rml.prepend_batch(batch);
@@ -705,88 +689,6 @@ impl SnowProcess {
             reason,
             attempts,
             rml_restored,
-        }
-    }
-
-    /// Establish a channel to an explicit vmid (the initialized
-    /// process). Same `conn_req` as `connect()` but addressed by vmid,
-    /// since the PL table still maps our rank to ourselves. Nacks are
-    /// retried with exponential backoff under a time-scaled watchdog
-    /// deadline; a departed destination host fails fast.
-    fn connect_to_vmid(&mut self, target: Vmid) -> Result<PostSender<Incoming>, ProtoError> {
-        let deadline = Instant::now() + scaled_watchdog(self.cell.time_scale());
-        let mut backoff = Duration::from_millis(1);
-        const BACKOFF_CAP: Duration = Duration::from_millis(64);
-        // A grant from an earlier, reaped attempt may have parked a
-        // stale transfer channel under our rank; clear it so the next
-        // grant records cleanly.
-        self.cc.remove(&self.rank);
-        loop {
-            // A destination host that left the environment can never
-            // grant: fail fast instead of burning the whole deadline.
-            if self.cell.shared().host_spec(target.host).is_none() {
-                return Err(ProtoError::Env(snow_vm::process::EnvError::HostGone(
-                    target.host,
-                )));
-            }
-            let req_id = self.cell.next_req_id();
-            // The request and its reply are datagrams: either may be
-            // dropped by an armed fault plan, so re-send under the same
-            // req_id until the destination answers.
-            let mut next_resend = Instant::now();
-            loop {
-                if Instant::now() >= next_resend {
-                    next_resend = Instant::now() + CONN_RESEND;
-                    self.route_conn_req(req_id, target)?;
-                }
-                let Some(ev) = self.next_event(TICK)? else {
-                    if Instant::now() >= deadline {
-                        return Err(ProtoError::Watchdog("state-transfer connect"));
-                    }
-                    continue;
-                };
-                match ev {
-                    Event::Granted { req_id: r, .. } if r == req_id => {
-                        // Do not record this in cc: it is the transfer
-                        // channel, not an application connection. Build
-                        // a dedicated sender from the grant.
-                        // `classify` stored it in cc under our own rank
-                        // (peer_rank == self.rank); pull it back out.
-                        return match self.cc.remove(&self.rank) {
-                            Some(tx) => Ok(tx),
-                            None => Err(ProtoError::Protocol(
-                                "transfer-channel grant carried no channel",
-                            )),
-                        };
-                    }
-                    Event::Nacked { req_id: r } if r == req_id => {
-                        // Initialized process not ready yet (spawn
-                        // race): back off and retry until the scaled
-                        // watchdog gives up.
-                        if Instant::now() >= deadline {
-                            return Err(ProtoError::Watchdog("state-transfer connect"));
-                        }
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(BACKOFF_CAP);
-                        break;
-                    }
-                    Event::Granted { peer, .. } if peer == self.rank => {
-                        // Stale grant from a reaped earlier attempt:
-                        // drop the channel it parked so the grant we
-                        // are waiting for records cleanly.
-                        self.cc.remove(&self.rank);
-                    }
-                    Event::StateBatch(returned) => {
-                        // Deposit return from the previous, reaped
-                        // attempt arriving while we connect to the
-                        // replacement.
-                        for env in returned {
-                            self.rml.append(env);
-                        }
-                    }
-                    _ => continue,
-                }
-            }
         }
     }
 }

@@ -40,7 +40,7 @@ pub(crate) const TICK: Duration = Duration::from_millis(25);
 /// the connectionless datagram service (§2.3), so either leg may be
 /// lost; re-sending is the requester's recovery, and the daemon/target
 /// dedup duplicate requests.
-pub(crate) const CONN_RESEND: Duration = Duration::from_millis(110);
+const CONN_RESEND: Duration = Duration::from_millis(110);
 
 /// The watchdog window stretched for slowed modeled hosts: a
 /// `time_scale` that makes modeled seconds real must also stretch the
@@ -60,24 +60,13 @@ const STALE_WAIT: Duration = Duration::from_millis(2);
 
 /// Events surfaced by the shared inbox classifier. Everything it fully
 /// handles itself (data buffering, inbound connection grants, the
-/// bookkeeping of pending outbound connects) reports as
+/// bookkeeping of pending outbound connects, deposits a failed
+/// destination returns to a migrating process) reports as
 /// [`Event::Handled`].
 #[derive(Debug)]
 pub(crate) enum Event {
     /// Nothing for the caller: the message was fully handled.
     Handled,
-    /// Our outbound request `req_id` was granted by `peer`.
-    Granted {
-        /// The request id we sent.
-        req_id: u64,
-        /// The granting rank.
-        peer: Rank,
-    },
-    /// Our outbound request `req_id` was rejected.
-    Nacked {
-        /// The rejected request id.
-        req_id: u64,
-    },
     /// A scheduler reply arrived.
     Sched(SchedReply),
     /// A `peer_migrating` marker from `rank` was processed: the channel
@@ -118,10 +107,6 @@ pub(crate) enum Event {
         /// Failure detail when `ok` is false.
         detail: String,
     },
-    /// A peer's migration was aborted; it resumed at its pre-migration
-    /// vmid and re-announced itself (the peer rank is recorded in the
-    /// trace as [`EventKind::MigrationAbortSeen`]).
-    PeerMigrationAborted,
 }
 
 /// Progress of one connection establishment toward a destination rank:
@@ -189,7 +174,8 @@ pub struct SnowProcess {
     pending_conn: HashMap<Rank, PendingConn>,
     /// Set once a `migration_request` signal has been intercepted.
     pub(crate) migrate_pending: bool,
-    /// True while running `migrate()`: inbound `conn_req`s are nacked.
+    /// True while running `migrate()`: inbound `conn_req`s are nacked
+    /// and returned deposits are filed in the RML.
     pub(crate) migrating: bool,
     /// State collect/restore cost model.
     pub(crate) cost: StateCostModel,
@@ -292,7 +278,8 @@ impl SnowProcess {
     /// * inbound `conn_req` → grant, or nack while migrating
     ///   (Fig 4 lines 9–11 / Fig 5 line 4),
     /// * grants, nacks and location replies → the pending connect they
-    ///   answer (Fig 3 lines 3–14), whatever the caller is waiting for.
+    ///   answer (Fig 3 lines 3–14), whatever the caller is waiting for,
+    /// * while migrating, deposits a failed destination returns → RML.
     ///
     /// Returns `Ok(None)` on a tick timeout so callers can run liveness
     /// checks; errors with [`ProtoError::Watchdog`] via
@@ -329,6 +316,15 @@ impl SnowProcess {
                     self.trace(EventKind::EndOfMessages { peer: env.src });
                     Event::EndOfMessages(env.src)
                 }
+                // A migrating process receives a batch only from a failed
+                // destination returning the deposits peers left there:
+                // hold them for the retry or the roll-back.
+                Payload::RmlBatch(batch) if self.migrating => {
+                    for env in batch {
+                        self.rml.append(env);
+                    }
+                    Event::Handled
+                }
                 Payload::RmlBatch(batch) => Event::StateBatch(batch),
                 Payload::ExeMemStateChunk {
                     seq,
@@ -351,7 +347,7 @@ impl SnowProcess {
                 Payload::StateAck { ok, from, detail } => Event::StateAck { ok, from, detail },
                 Payload::MigrationAborted => {
                     self.trace(EventKind::MigrationAbortSeen { peer: env.src });
-                    Event::PeerMigrationAborted
+                    Event::Handled
                 }
             },
             Incoming::Ctrl(ctrl) => match ctrl {
@@ -370,27 +366,17 @@ impl SnowProcess {
                     Event::Handled
                 }
                 Ctrl::ConnGrant {
-                    req_id,
                     peer_rank,
                     peer_vmid,
                     data_to_granter,
+                    ..
                 } => {
-                    self.pl.insert(peer_rank, peer_vmid);
-                    // Crossing-request dedup: the first established
-                    // channel wins so each direction stays on one wire.
-                    if let std::collections::hash_map::Entry::Vacant(e) = self.cc.entry(peer_rank) {
-                        e.insert(data_to_granter);
-                        self.trace(EventKind::ChannelOpen { peer: peer_rank });
-                    }
-                    self.pending_conn.remove(&peer_rank);
-                    Event::Granted {
-                        req_id,
-                        peer: peer_rank,
-                    }
+                    self.note_grant(peer_rank, peer_vmid, data_to_granter);
+                    Event::Handled
                 }
                 Ctrl::ConnNack { req_id, .. } => {
                     self.note_nack(req_id);
-                    Event::Nacked { req_id }
+                    Event::Handled
                 }
                 Ctrl::Sched(reply) => {
                     if let SchedReply::Location {
@@ -409,10 +395,31 @@ impl SnowProcess {
         }
     }
 
+    /// A grant opens the channel toward `peer` (Fig 3), but only for the
+    /// request it answers: while a `conn_req` toward `peer` is
+    /// outstanding at one vmid, a grant from another (a late duplicate
+    /// from the peer's old location, or from a reaped state-transfer
+    /// destination) is dropped with its channel.
+    fn note_grant(&mut self, peer: Rank, vmid: Vmid, tx: PostSender<Incoming>) {
+        if matches!(
+            self.pending_conn.get(&peer),
+            Some(PendingConn { stage: ConnStage::Req { target, .. }, .. }) if *target != vmid
+        ) {
+            return;
+        }
+        self.pl.insert(peer, vmid);
+        // Crossing-request dedup: the first established channel wins so
+        // each direction stays on one wire.
+        if let std::collections::hash_map::Entry::Vacant(e) = self.cc.entry(peer) {
+            e.insert(tx);
+            self.trace(EventKind::ChannelOpen { peer });
+        }
+        self.pending_conn.remove(&peer);
+    }
+
     /// Fig 3 lines 9–14: a nack for a pending `conn_req` invalidates the
-    /// cached location and fires the re-lookup. Nacks no pending
-    /// connect owns (the state-transfer connect's) are left to the
-    /// caller.
+    /// cached location and fires the re-lookup. A nack no pending
+    /// connect owns answers a request already settled, and is dropped.
     fn note_nack(&mut self, req_id: u64) {
         let nacked = self.pending_conn.iter().find_map(|(d, pc)| match pc.stage {
             ConnStage::Req {

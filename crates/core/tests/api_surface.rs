@@ -3,8 +3,9 @@
 
 use bytes::Bytes;
 use snow_core::Computation;
-use snow_vm::HostSpec;
-use std::time::Duration;
+use snow_net::FrameClass;
+use snow_vm::{Ctrl, HostSpec, Incoming};
+use std::time::{Duration, Instant};
 
 #[test]
 fn probe_does_not_consume() {
@@ -222,4 +223,64 @@ fn shutdown_stops_migration_service() {
     }
     comp.shutdown();
     assert!(comp.migrate(0, comp.hosts()[1]).is_err());
+}
+
+#[test]
+fn stale_grant_opens_no_channel() {
+    // A grant counts only for the request it answers. While rank 0's
+    // conn_req is outstanding at rank 1, a grant naming rank 1 from
+    // another vmid (a late duplicate from an old location) must open
+    // nothing; the real grant still connects.
+    let comp = Computation::builder().hosts(HostSpec::ideal(), 2).build();
+    let hosts = comp.hosts().to_vec();
+    let mut procs = comp.launch_cooperative(&hosts, |_p, _s| {});
+    let mut p1 = procs.pop().unwrap();
+    let mut p0 = procs.pop().unwrap();
+    assert!(!p0.connect_step(1).unwrap(), "rank 1 has not granted yet");
+
+    let (stale, stale_cell) = comp.vm().spawn_cell(hosts[1], "stale").unwrap();
+    let grant = Ctrl::ConnGrant {
+        req_id: 0,
+        peer_rank: 1,
+        peer_vmid: stale,
+        data_to_granter: stale_cell.data_sender_to_me(hosts[0]),
+    };
+    comp.vm()
+        .shared()
+        .transport()
+        .send_to(
+            hosts[1].into(),
+            p0.vmid(),
+            Incoming::Ctrl(grant),
+            64,
+            FrameClass::Control,
+        )
+        .unwrap();
+    p0.pump().unwrap();
+    assert!(
+        !p0.connected().contains(&1),
+        "the stale grant opened a channel"
+    );
+
+    let body = Bytes::from_static(b"to the real rank 1");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut sent = false;
+    loop {
+        sent = sent || p0.try_send(1, 3, &body).unwrap();
+        if let Some(m) = p1.try_recv(Some(0), Some(3)).unwrap() {
+            assert_eq!(m, (0, 3, body));
+            break;
+        }
+        assert!(Instant::now() < deadline, "message never reached rank 1");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(stale_cell.try_recv_incoming().unwrap().is_none());
+
+    let (v0, v1) = (p0.vmid(), p1.vmid());
+    p0.finish();
+    p1.finish();
+    for v in [v0, v1, stale] {
+        comp.vm().retire(v);
+    }
+    comp.shutdown();
 }

@@ -49,7 +49,7 @@ fn receiver_migrates_mid_stream() {
                     MemoryGraph::new(),
                 );
                 let t = p.migrate(&state).unwrap().expect_completed();
-                assert!(t.total_s() >= 0.0);
+                assert!(t.serial_total_s() >= 0.0);
                 // Fig 5 line 11: the migrating process terminates.
             }
             (0, Start::Resumed(state)) => {

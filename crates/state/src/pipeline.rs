@@ -41,6 +41,11 @@ use crate::snapshot::{ProcessState, StateError};
 use crate::{ExecState, MemoryGraph, NodeId};
 use snow_codec::{CodecError, WireReader, WireWriter};
 
+/// Bound on the job and result queues between the planner, the encoder
+/// workers and the sender: limits how far encoding may run ahead of
+/// transmission.
+const QUEUE_DEPTH: usize = 8;
+
 /// Tuning knobs for the chunked transfer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineConfig {
@@ -51,10 +56,6 @@ pub struct PipelineConfig {
     /// Encoder worker threads. `1` streams sequentially without
     /// threads; `0` counts as `1`.
     pub workers: usize,
-    /// Bound on the job and result queues between the planner, the
-    /// workers and the sender — limits how far encoding may run ahead of
-    /// transmission.
-    pub queue_depth: usize,
 }
 
 impl Default for PipelineConfig {
@@ -62,7 +63,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             chunk_bytes: 256 * 1024,
             workers: 4,
-            queue_depth: 8,
         }
     }
 }
@@ -170,11 +170,11 @@ pub fn stream_chunks<E>(
         });
     }
 
-    let depth = cfg.queue_depth.max(1);
     let mut failure: Option<E> = None;
     std::thread::scope(|s| {
-        let (job_tx, job_rx) = crossbeam::channel::bounded::<(u32, std::ops::Range<usize>)>(depth);
-        let (res_tx, res_rx) = crossbeam::channel::bounded::<(u32, Vec<u8>)>(depth);
+        let (job_tx, job_rx) =
+            crossbeam::channel::bounded::<(u32, std::ops::Range<usize>)>(QUEUE_DEPTH);
+        let (res_tx, res_rx) = crossbeam::channel::bounded::<(u32, Vec<u8>)>(QUEUE_DEPTH);
         for _ in 0..workers {
             let job_rx = job_rx.clone();
             let res_tx = res_tx.clone();
@@ -656,7 +656,6 @@ mod tests {
                 let cfg = PipelineConfig {
                     chunk_bytes,
                     workers,
-                    queue_depth: 2,
                 };
                 let (chunks, summary) = collect_chunks(&s, &cfg);
                 let concat: Vec<u8> = chunks.iter().flat_map(|c| c.bytes.clone()).collect();
@@ -687,7 +686,6 @@ mod tests {
                     let cfg = PipelineConfig {
                         chunk_bytes,
                         workers,
-                        queue_depth: 3,
                     };
                     let (chunks, summary) = collect_chunks(&s, &cfg);
                     if chunk_bytes == 1 {
@@ -796,7 +794,6 @@ mod tests {
         let cfg = PipelineConfig {
             chunk_bytes: 64,
             workers: 4,
-            queue_depth: 2,
         };
         let mut seen = 0u32;
         let r: Result<ChunkStreamSummary, &str> = stream_chunks(&s, &cfg, |_c| {

@@ -68,7 +68,7 @@ proptest! {
 
         for chunk_bytes in CHUNK_SIZES {
             for workers in WORKER_COUNTS {
-                let cfg = PipelineConfig { chunk_bytes, workers, queue_depth: 2 };
+                let cfg = PipelineConfig { chunk_bytes, workers };
                 let (chunks, summary) = collect_chunks(&s, &cfg);
 
                 // The stream digest IS the monolithic checksum.
@@ -104,7 +104,7 @@ proptest! {
         flip_seed in any::<u64>(),
     ) {
         let s = ProcessState::new(e, g);
-        let cfg = PipelineConfig { chunk_bytes: 64, workers: 1, queue_depth: 2 };
+        let cfg = PipelineConfig { chunk_bytes: 64, workers: 1 };
         let (mut chunks, summary) = collect_chunks(&s, &cfg);
         let victim = (flip_seed as usize) % chunks.len();
         if chunks[victim].bytes.is_empty() {
@@ -133,7 +133,7 @@ proptest! {
     #[test]
     fn digest_frame_tampering_detected(e in arb_exec(), g in arb_graph(), delta in 1u64..u64::MAX) {
         let s = ProcessState::new(e, g);
-        let cfg = PipelineConfig { chunk_bytes: 128, workers: 1, queue_depth: 2 };
+        let cfg = PipelineConfig { chunk_bytes: 128, workers: 1 };
         let (chunks, summary) = collect_chunks(&s, &cfg);
         let mut r = ChunkedRestorer::new();
         for c in &chunks {

@@ -11,7 +11,7 @@ use snow::prelude::*;
 use snow::sched::MigrationPhase;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use support::await_migration;
 
@@ -21,93 +21,123 @@ fn spin_until(flag: &AtomicBool) {
     }
 }
 
-/// The destination host leaves the virtual machine after the migration
-/// is ordered but before the transfer starts: the source aborts, rolls
-/// back, and resumes in place. The messages rank 1 sent before the
-/// migration survive the drain → rollback round trip unharmed and in
-/// order, and the resumed source still exchanges traffic both ways.
+/// The destination fails after the migration is ordered but before the
+/// transfer starts: either its host leaves the virtual machine, or the
+/// destination process alone is gone while its host stays up (every
+/// state-transfer `conn_req` is then nacked). Either way the source
+/// aborts within seconds, rolls back, and resumes in place. The messages
+/// rank 1 sent before the migration survive the drain → rollback round
+/// trip unharmed and in order, and the resumed source still exchanges
+/// traffic both ways.
 #[test]
 fn destination_vanishes_source_resumes_without_loss() {
-    let tracer = Tracer::new();
-    let comp = Computation::builder()
-        .hosts(HostSpec::ideal(), 4)
-        .tracer(tracer.clone())
-        .build();
-    let doomed = comp.hosts()[3];
-    let ready = Arc::new(AtomicBool::new(false));
-    let go = Arc::new(AtomicBool::new(false));
-    let (ready_t, go_t) = (Arc::clone(&ready), Arc::clone(&go));
+    for retire_process_only in [false, true] {
+        let tracer = Tracer::new();
+        let comp = Computation::builder()
+            .hosts(HostSpec::ideal(), 4)
+            .tracer(tracer.clone())
+            .build();
+        let doomed = comp.hosts()[3];
+        let ready = Arc::new(AtomicBool::new(false));
+        let go = Arc::new(AtomicBool::new(false));
+        let (ready_t, go_t) = (Arc::clone(&ready), Arc::clone(&go));
 
-    let handles = comp.launch(2, move |mut p, start| match (p.rank(), start) {
-        (0, Start::Fresh) => {
-            // Consume m1 (this also opens the rank 1 connection); m2..m4
-            // stay buffered in the RML and ride through the migration
-            // drain.
-            let (_s, t, _b) = p.recv(Some(1), Some(1)).unwrap();
-            assert_eq!(t, 1);
-            await_migration(&mut p);
-            // Tell the harness the migration order landed, then wait for
-            // it to yank the destination host before we transfer.
-            ready_t.store(true, Ordering::Release);
-            spin_until(&go_t);
-            let mut state = ProcessState::empty();
-            state.pad_to(100_000);
-            let aborted = match p.migrate(&state).unwrap() {
-                MigrationOutcome::Aborted(a) => a,
-                MigrationOutcome::Completed(_) => {
-                    panic!("the destination was removed before the transfer began")
+        let handles = comp.launch(2, move |mut p, start| match (p.rank(), start) {
+            (0, Start::Fresh) => {
+                // Consume m1 (this also opens the rank 1 connection);
+                // m2..m4 stay buffered in the RML and ride through the
+                // migration drain.
+                let (_s, t, _b) = p.recv(Some(1), Some(1)).unwrap();
+                assert_eq!(t, 1);
+                await_migration(&mut p);
+                // Tell the harness the migration order landed, then wait
+                // for it to take the destination down before we transfer.
+                ready_t.store(true, Ordering::Release);
+                spin_until(&go_t);
+                let mut state = ProcessState::empty();
+                state.pad_to(100_000);
+                let t0 = Instant::now();
+                let aborted = match p.migrate(&state).unwrap() {
+                    MigrationOutcome::Aborted(a) => a,
+                    MigrationOutcome::Completed(_) => {
+                        panic!("the destination was gone before the transfer began")
+                    }
+                };
+                assert!(
+                    t0.elapsed() < Duration::from_secs(5),
+                    "abort took {:?}: {}",
+                    t0.elapsed(),
+                    aborted.reason
+                );
+                assert_eq!(aborted.attempts, 1, "no retry policy installed");
+                assert!(
+                    aborted.rml_restored >= 3,
+                    "m2..m4 must be restored, got {}",
+                    aborted.rml_restored
+                );
+                let mut p = aborted.process;
+                // Zero loss + FIFO: the buffered burst survives the
+                // rollback in send order.
+                for expect in 2..=4 {
+                    let (_s, tag, b) = p.recv(Some(1), None).unwrap();
+                    assert_eq!(tag, expect);
+                    assert_eq!(&b[..], format!("m{expect}").as_bytes());
                 }
-            };
-            assert_eq!(aborted.attempts, 1, "no retry policy installed");
-            assert!(
-                aborted.rml_restored >= 3,
-                "m2..m4 must be restored, got {}",
-                aborted.rml_restored
-            );
-            let mut p = aborted.process;
-            // Zero loss + FIFO: the buffered burst survives the rollback
-            // in send order.
-            for expect in 2..=4 {
-                let (_s, tag, b) = p.recv(Some(1), None).unwrap();
-                assert_eq!(tag, expect);
-                assert_eq!(&b[..], format!("m{expect}").as_bytes());
+                // The resumed source keeps communicating in both
+                // directions.
+                p.send(1, 9, Bytes::from_static(b"ping")).unwrap();
+                let (_s, _t, b) = p.recv(Some(1), Some(10)).unwrap();
+                assert_eq!(&b[..], b"pong");
+                p.finish();
             }
-            // The resumed source keeps communicating in both directions.
-            p.send(1, 9, Bytes::from_static(b"ping")).unwrap();
-            let (_s, _t, b) = p.recv(Some(1), Some(10)).unwrap();
-            assert_eq!(&b[..], b"pong");
-            p.finish();
-        }
-        (0, Start::Resumed(_)) => unreachable!("the migration must abort, not complete"),
-        (1, Start::Fresh) => {
-            for t in 1..=4 {
-                p.send(0, t, Bytes::from(format!("m{t}").into_bytes()))
-                    .unwrap();
+            (0, Start::Resumed(_)) => unreachable!("the migration must abort, not complete"),
+            (1, Start::Fresh) => {
+                for t in 1..=4 {
+                    p.send(0, t, Bytes::from(format!("m{t}").into_bytes()))
+                        .unwrap();
+                }
+                let (_s, _t, b) = p.recv(Some(0), Some(9)).unwrap();
+                assert_eq!(&b[..], b"ping");
+                p.send(0, 10, Bytes::from_static(b"pong")).unwrap();
+                p.finish();
             }
-            let (_s, _t, b) = p.recv(Some(0), Some(9)).unwrap();
-            assert_eq!(&b[..], b"ping");
-            p.send(0, 10, Bytes::from_static(b"pong")).unwrap();
-            p.finish();
+            _ => unreachable!(),
+        });
+
+        comp.migrate_async(0, doomed).unwrap();
+        spin_until(&ready);
+        if retire_process_only {
+            let dest = comp
+                .migration_records()
+                .into_iter()
+                .find(|r| r.rank == 0)
+                .expect("migration was recorded")
+                .new_vmid;
+            assert_eq!(dest.host, doomed);
+            comp.vm().retire(dest);
+        } else {
+            comp.vm().remove_host(doomed);
         }
-        _ => unreachable!(),
-    });
+        go.store(true, Ordering::Release);
 
-    comp.migrate_async(0, doomed).unwrap();
-    spin_until(&ready);
-    comp.vm().remove_host(doomed);
-    go.store(true, Ordering::Release);
-
-    let err = comp
-        .wait_migration_done(0)
-        .expect_err("the migration must abort, not commit");
-    assert!(err.contains("aborted"), "{err}");
-    for h in handles {
-        h.join().unwrap();
+        let err = comp
+            .wait_migration_done(0)
+            .expect_err("the migration must abort, not commit");
+        assert!(err.contains("aborted"), "{err}");
+        for h in handles {
+            h.join().unwrap();
+        }
+        // Deliberately NOT joining init processes: the orphaned
+        // destination process only unblocks at its watchdog (a
+        // workstation that lost its network, not its power, or a process
+        // whose registration vanished).
+        let name = if retire_process_only {
+            "abort_destination_retired"
+        } else {
+            "abort_destination_vanishes"
+        };
+        support::audit_and_export(&tracer, name);
     }
-    // Deliberately NOT joining init processes: the destination process
-    // was orphaned on the removed host and only unblocks at its
-    // watchdog (a workstation that lost its network, not its power).
-    support::audit_and_export(&tracer, "abort_destination_vanishes");
 }
 
 /// A corrupted chunk makes the destination reject the transfer; with a
@@ -122,7 +152,6 @@ fn corrupted_chunk_retries_on_alternate_host() {
         .pipeline(PipelineConfig {
             chunk_bytes: 4096,
             workers: 2,
-            queue_depth: 4,
         })
         .migration_retry(RetryPolicy {
             max_attempts: 3,
@@ -193,7 +222,6 @@ fn simultaneous_migration_one_side_aborts() {
         .pipeline(PipelineConfig {
             chunk_bytes: 4096,
             workers: 2,
-            queue_depth: 4,
         })
         .build();
     let (dest0, dest1) = (comp.hosts()[2], comp.hosts()[3]);

@@ -113,9 +113,10 @@ fn duplicate_control_datagrams_during_restore_are_deduped() {
 
 #[test]
 fn connect_survives_heavy_daemon_drops() {
-    // Over half of all signaling datagrams vanish; connect() and
-    // connect_to_vmid() re-send under the same req_id until a reply
-    // lands. Loss is recoverable, so the run must still commit.
+    // Over half of all signaling datagrams vanish; connect(), which
+    // also opens the state-transfer channel, re-sends under the same
+    // req_id until a reply lands. Loss is recoverable, so the run must
+    // still commit.
     let plan = FaultPlan::new(93).rule(LinkSel::Any, FaultSpec::none().drops(0.55));
     let run = run_scenario(&pinned(93, 2, 1, 100, plan));
     assert_clean(&run);

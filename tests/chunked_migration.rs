@@ -47,7 +47,6 @@ fn in_transit_messages_survive_fragmented_migration() {
         .pipeline(PipelineConfig {
             chunk_bytes: 2048,
             workers: 4,
-            queue_depth: 4,
         })
         .build();
     let target = comp.hosts()[3];
@@ -166,7 +165,6 @@ fn pipelined_total_beats_serial_sum_end_to_end() {
         .pipeline(PipelineConfig {
             chunk_bytes: 32 * 1024,
             workers: 4,
-            queue_depth: 4,
         })
         .build();
     let dec = comp.hosts()[1];

@@ -31,7 +31,7 @@ fn peer_dies_mid_coordination() {
                 .migrate(&ProcessState::empty())
                 .unwrap()
                 .expect_completed();
-            assert!(t.total_s() >= 0.0);
+            assert!(t.serial_total_s() >= 0.0);
         }
         (0, Start::Resumed(_)) => {
             p.finish();

@@ -56,7 +56,7 @@ fn both_ends_migrate_simultaneously() {
                 .migrate(&ProcessState::empty())
                 .unwrap()
                 .expect_completed();
-            assert!(t.total_s() >= 0.0);
+            assert!(t.serial_total_s() >= 0.0);
         }
         Start::Resumed(_) => {
             phase(&mut p, HALF, 2 * HALF);
